@@ -281,6 +281,22 @@ class Instruction:
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"negative qubit index in {self.qubits}")
 
+    @classmethod
+    def _unchecked(
+        cls, name: str, qubits: Tuple[int, ...], params: Tuple[float, ...] = ()
+    ) -> "Instruction":
+        """Build an instruction without running :meth:`__post_init__`.
+
+        Only for compiler emit sites whose fields are already valid: the
+        name and ``float`` params copied from a validated instruction, and
+        distinct non-negative Python ``int`` qubits taken from the device's
+        paths or the routing mapping.  Everything else goes through the
+        public constructor, which validates and coerces.
+        """
+        inst = object.__new__(cls)
+        inst.__dict__.update(name=name, qubits=qubits, params=params)
+        return inst
+
     @property
     def spec(self) -> GateSpec:
         """The static gate description."""

@@ -24,6 +24,7 @@ from ..circuits import QuantumCircuit, asap_layers, decompose_to_basis
 from ..circuits.gates import Instruction
 from ..hardware.coupling import CouplingGraph
 from .mapping import Mapping
+from .metrics import native_metrics
 from .routing import route_pair
 
 __all__ = ["CompiledCircuit", "ConventionalBackend"]
@@ -59,11 +60,11 @@ class CompiledCircuit:
 
     def depth(self) -> int:
         """Native-basis critical-path depth (the paper's depth metric)."""
-        return self.native().depth()
+        return native_metrics(self.circuit).depth
 
     def gate_count(self) -> int:
         """Native-basis total gate count (the paper's gate-count metric)."""
-        return self.native().gate_count()
+        return native_metrics(self.circuit).gate_count
 
     def validate(self) -> None:
         """Assert every two-qubit gate sits on a device coupling."""
@@ -158,10 +159,17 @@ class ConventionalBackend:
     ) -> int:
         """Route (if needed) and append one logical instruction. Returns the
         number of SWAPs inserted."""
+        # The physical copies reuse the validated name and params of
+        # ``inst`` and take their qubits from the mapping, so they skip
+        # re-validation.
         if inst.is_directive:
             return 0
         if len(inst.qubits) == 1:
-            out.append(inst.remap({inst.qubits[0]: mapping.physical(inst.qubits[0])}))
+            out.append(
+                Instruction._unchecked(
+                    inst.name, (mapping.physical(inst.qubits[0]),), inst.params
+                )
+            )
             return 0
         logical_a, logical_b = inst.qubits
         routing = route_pair(
@@ -174,7 +182,7 @@ class ConventionalBackend:
         )
         out.extend(routing.swaps)
         out.append(
-            Instruction(
+            Instruction._unchecked(
                 inst.name,
                 (mapping.physical(logical_a), mapping.physical(logical_b)),
                 inst.params,

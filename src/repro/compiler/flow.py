@@ -40,6 +40,7 @@ from ..hardware.target import Target, intern_target
 from ..qaoa.problems import QAOAProgram
 from .ic import IncrementalCompiler
 from .mapping import Mapping
+from .metrics import native_metrics, success_probability
 from .pipeline import PassContext, PassRecord, PipelineSpec, build_pipeline
 from .placement import (
     greedy_e_placement,
@@ -150,9 +151,9 @@ class CompiledQAOA:
         """The circuit lowered to the IBM basis.
 
         The lowering is memoized per ``optimize`` flag — a compiled result
-        is effectively frozen, and ``depth()``/``gate_count()``/
-        ``success_probability()`` all need the same lowered circuit, so
-        the basis decomposition runs at most once per flag.
+        is effectively frozen, so the basis decomposition runs at most once
+        per flag.  ``depth()``/``gate_count()``/``success_probability()``
+        do not need it (see :func:`repro.compiler.metrics.native_metrics`).
 
         Args:
             optimize: Run the peephole pass (CNOT cancellation at
@@ -172,11 +173,11 @@ class CompiledQAOA:
 
     def depth(self) -> int:
         """Native-basis critical-path depth."""
-        return self.native().depth()
+        return native_metrics(self.circuit).depth
 
     def gate_count(self) -> int:
         """Native-basis total gate count (measurements included)."""
-        return self.native().gate_count()
+        return native_metrics(self.circuit).gate_count
 
     def validate(self) -> None:
         """Assert coupling compliance of every two-qubit gate."""
@@ -189,9 +190,7 @@ class CompiledQAOA:
     def success_probability(self, calibration: Calibration, **kwargs) -> float:
         """Product-of-gate-success-rates metric (see
         :func:`repro.compiler.metrics.success_probability`)."""
-        from .metrics import success_probability
-
-        return success_probability(self.native(), calibration, **kwargs)
+        return success_probability(self.circuit, calibration, **kwargs)
 
 
 def _validate_spec(

@@ -30,7 +30,7 @@ class Mapping:
         self._l2p: Dict[int, int] = {}
         self._p2l: Dict[int, int] = {}
         for logical, physical in logical_to_physical.items():
-            self.place(int(logical), int(physical))
+            self.place(logical, physical)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -65,6 +65,9 @@ class Mapping:
     # ------------------------------------------------------------------
     def place(self, logical: int, physical: int) -> None:
         """Assign ``logical`` to ``physical`` (both must be free)."""
+        # Stored as Python ints: routers copy physical indices straight
+        # into instructions without re-validating them.
+        logical, physical = int(logical), int(physical)
         if not 0 <= physical < self.num_physical:
             raise ValueError(f"physical qubit {physical} out of range")
         if logical in self._l2p:
@@ -80,6 +83,7 @@ class Mapping:
         Either side may be unoccupied — SWAPs routinely move a logical qubit
         through an empty physical qubit.
         """
+        phys_a, phys_b = int(phys_a), int(phys_b)
         for p in (phys_a, phys_b):
             if not 0 <= p < self.num_physical:
                 raise ValueError(f"physical qubit {p} out of range")

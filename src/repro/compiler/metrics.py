@@ -10,17 +10,33 @@ The four metrics the paper reports for every compiled circuit:
   individual gates").
 
 Plus the derived counters useful in analysis: CNOT count and SWAP count.
+
+Depth, gate count, CNOT count and success probability are all read off
+the IBM-basis lowering of the routed circuit, but the lowered circuit is
+never built for them: :func:`native_metrics` replays each gate's lowering
+(derived once per gate name from
+:func:`~repro.circuits.decompose.expand_instruction`) in one pass over the
+high-level circuit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+import functools
+from typing import NamedTuple, Optional, Tuple
 
 from ..circuits import IBM_BASIS, QuantumCircuit, decompose_to_basis
+from ..circuits.decompose import expand_instruction
+from ..circuits.gates import GATES, Instruction, gate_spec
 from ..hardware.calibration import Calibration
 
-__all__ = ["CircuitMetrics", "success_probability", "measure_compiled"]
+__all__ = [
+    "CircuitMetrics",
+    "NativeCounts",
+    "native_metrics",
+    "success_probability",
+    "measure_compiled",
+]
 
 
 @dataclasses.dataclass
@@ -52,10 +68,106 @@ class CircuitMetrics:
     decoherence_factor: Optional[float] = None
 
 
-def _ensure_native(circuit: QuantumCircuit) -> QuantumCircuit:
-    if all(inst.name in IBM_BASIS for inst in circuit):
-        return circuit
-    return decompose_to_basis(circuit)
+class NativeCounts(NamedTuple):
+    """The native-basis numbers :func:`native_metrics` computes in one pass.
+
+    ``success_probability`` is ``None`` when no calibration was given.
+    """
+
+    depth: int
+    gate_count: int
+    cnot_count: int
+    success_probability: Optional[float]
+
+
+# Kinds of native gate, by how they enter the metrics.
+_CNOT, _MEASURE, _VIRTUAL, _SINGLE, _DIRECTIVE = range(5)
+
+
+def _native_kind(name: str) -> int:
+    if name == "cnot":
+        return _CNOT
+    if name == "measure":
+        return _MEASURE
+    if name == "u1":
+        return _VIRTUAL
+    if GATES[name].directive:
+        return _DIRECTIVE
+    return _SINGLE
+
+
+@functools.lru_cache(maxsize=len(GATES))
+def _lowering(name: str) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """``(kind, qubit positions)`` of each native gate that gate ``name``
+    lowers to, in order: ``expand_instruction`` run to the native basis on
+    a prototype acting on qubits ``0..k-1``, so its qubits are positions."""
+    spec = gate_spec(name)
+    pending = [
+        Instruction(name, tuple(range(spec.num_qubits)), (0.0,) * spec.num_params)
+    ]
+    steps = []
+    while pending:
+        inst = pending.pop(0)
+        if inst.name in IBM_BASIS:
+            steps.append((_native_kind(inst.name), inst.qubits))
+        else:
+            pending[:0] = expand_instruction(inst)
+    return tuple(steps)
+
+
+def native_metrics(
+    circuit: QuantumCircuit,
+    calibration: Optional[Calibration] = None,
+    include_readout: bool = False,
+    include_single_qubit: bool = True,
+) -> NativeCounts:
+    """Depth, gate count, CNOT count and success probability of
+    ``circuit`` lowered to the IBM basis, in one pass without lowering it.
+
+    Each instruction replays its gate's native lowering: depth follows
+    :func:`repro.circuits.dag.circuit_depth`, the counts follow
+    :meth:`QuantumCircuit.gate_count` and ``count_ops()["cnot"]``, and the
+    success-probability factors multiply in the lowered circuit's gate
+    order, so every number equals the one computed on
+    :func:`~repro.circuits.decompose.decompose_to_basis` output, bit for
+    bit.  The success rules are :func:`success_probability`'s.
+    """
+    frontier = [0] * circuit.num_qubits
+    depth = gates = cnots = 0
+    prob = 1.0
+    readout = calibration is not None and include_readout
+    single = calibration is not None and include_single_qubit
+    for inst in circuit:
+        qubits = inst.qubits
+        for kind, positions in _lowering(inst.name):
+            if kind == _CNOT:
+                a, b = qubits[positions[0]], qubits[positions[1]]
+                t = max(frontier[a], frontier[b]) + 1
+                frontier[a] = frontier[b] = t
+                cnots += 1
+                if calibration is not None:
+                    prob *= calibration.cnot_success(a, b)
+            elif kind == _DIRECTIVE:
+                # A barrier (native, any width) syncs all of its qubits.
+                start = max((frontier[q] for q in qubits), default=0)
+                for q in qubits:
+                    frontier[q] = start
+                continue
+            else:
+                q = qubits[positions[0]]
+                t = frontier[q] + 1
+                frontier[q] = t
+                if kind == _SINGLE:
+                    if single:
+                        prob *= calibration.single_qubit_success(q)
+                elif kind == _MEASURE and readout:
+                    prob *= calibration.readout_fidelity(q)
+            gates += 1
+            if t > depth:
+                depth = t
+    return NativeCounts(
+        depth, gates, cnots, prob if calibration is not None else None
+    )
 
 
 def success_probability(
@@ -64,7 +176,7 @@ def success_probability(
     include_readout: bool = False,
     include_single_qubit: bool = True,
 ) -> float:
-    """Product of per-gate success rates of a (native) circuit.
+    """Product of per-gate success rates of the circuit's native lowering.
 
     Rules:
 
@@ -77,22 +189,16 @@ def success_probability(
       success rate when ``include_single_qubit``;
     * measurements multiply in readout fidelity when ``include_readout``.
 
-    The circuit is lowered to the native basis first if needed; it must be
-    coupling-compliant for the calibration's device.
+    High-level gates count as their IBM-basis lowering (see
+    :func:`native_metrics`); the circuit must be coupling-compliant for the
+    calibration's device.
     """
-    native = _ensure_native(circuit)
-    prob = 1.0
-    for inst in native:
-        if inst.name == "cnot":
-            prob *= calibration.cnot_success(*inst.qubits)
-        elif inst.name == "measure":
-            if include_readout:
-                prob *= calibration.readout_fidelity(inst.qubits[0])
-        elif inst.name == "barrier" or inst.name == "u1":
-            continue
-        elif include_single_qubit:
-            prob *= calibration.single_qubit_success(inst.qubits[0])
-    return prob
+    return native_metrics(
+        circuit,
+        calibration,
+        include_readout=include_readout,
+        include_single_qubit=include_single_qubit,
+    ).success_probability
 
 
 def measure_compiled(
@@ -114,27 +220,23 @@ def measure_compiled(
         t2_ns: Dephasing constant for the survival estimate.
         **success_kwargs: Forwarded to :func:`success_probability`.
     """
-    native = decompose_to_basis(compiled.circuit)
-    sp = (
-        success_probability(native, calibration, **success_kwargs)
-        if calibration is not None
-        else None
-    )
+    counts = native_metrics(compiled.circuit, calibration, **success_kwargs)
     exec_ns = None
     survival = None
     if include_timing:
         from ..circuits.timing import decoherence_factor, execution_time
 
+        native = decompose_to_basis(compiled.circuit)
         exec_ns = execution_time(native)
         survival = decoherence_factor(native, t2_ns=t2_ns)
     return CircuitMetrics(
         method=compiled.method,
-        depth=native.depth(),
-        gate_count=native.gate_count(),
-        cnot_count=native.count_ops().get("cnot", 0),
+        depth=counts.depth,
+        gate_count=counts.gate_count,
+        cnot_count=counts.cnot_count,
         swap_count=compiled.swap_count,
         compile_time=compiled.compile_time,
-        success_probability=sp,
+        success_probability=counts.success_probability,
         execution_time_ns=exec_ns,
         decoherence_factor=survival,
     )

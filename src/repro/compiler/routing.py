@@ -70,7 +70,9 @@ def route_pair(
         path_oracle: Optional ``(pa, pb) -> path`` callable used instead
             of reconstructing the path from ``dist`` — e.g. the memoized
             :meth:`repro.hardware.target.Target.shortest_path` cache.
-            Must agree with ``dist`` on the metric it encodes.
+            Must agree with ``dist`` on the metric it encodes, and return
+            the device's qubits as Python ``int`` (they go into the SWAPs
+            without re-validation).
     """
     pa, pb = mapping.physical_pair(logical_a, logical_b)
     if coupling.has_edge(pa, pb):
@@ -92,7 +94,7 @@ def route_pair(
             a, b = path[right], path[right - 1]
             right -= 1
         move_left = not move_left
-        swaps.append(Instruction("swap", (a, b)))
+        swaps.append(Instruction._unchecked("swap", (a, b)))
         mapping.apply_swap(a, b)
     final_pair = (path[left], path[right])
     if not coupling.has_edge(*final_pair):

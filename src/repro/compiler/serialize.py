@@ -24,7 +24,13 @@ from .backend import CompiledCircuit
 from .flow import CompiledQAOA
 from .pipeline import PassRecord
 
-__all__ = ["to_json", "from_json", "FORMAT_VERSION", "COMPAT_READ_VERSIONS"]
+__all__ = [
+    "to_document",
+    "to_json",
+    "from_json",
+    "FORMAT_VERSION",
+    "COMPAT_READ_VERSIONS",
+]
 
 #: Version stamped into every payload.  Bump when the payload layout
 #: changes so stale caches invalidate cleanly.
@@ -59,8 +65,9 @@ def _coupling_from(payload: dict) -> CouplingGraph:
     )
 
 
-def to_json(compiled: Union[CompiledQAOA, CompiledCircuit]) -> str:
-    """Serialise a compiled result (QAOA flow or raw backend output)."""
+def to_document(compiled: Union[CompiledQAOA, CompiledCircuit]) -> dict:
+    """The JSON document of a compiled result, as a dict (what
+    :func:`to_json` encodes; the result envelope embeds it directly)."""
     payload = {
         "format_version": _FORMAT_VERSION,
         "kind": "qaoa" if isinstance(compiled, CompiledQAOA) else "circuit",
@@ -89,7 +96,12 @@ def to_json(compiled: Union[CompiledQAOA, CompiledCircuit]) -> str:
             "levels": [[lv.gamma, lv.beta] for lv in program.levels],
             "linear": {str(k): v for k, v in program.linear.items()},
         }
-    return json.dumps(payload, indent=2)
+    return payload
+
+
+def to_json(compiled: Union[CompiledQAOA, CompiledCircuit]) -> str:
+    """Serialise a compiled result (QAOA flow or raw backend output)."""
+    return json.dumps(to_document(compiled), indent=2)
 
 
 def from_json(text: str) -> Union[CompiledQAOA, CompiledCircuit]:

@@ -241,6 +241,7 @@ class _JobState:
     attempts: int = 0
     enqueued_at: float = 0.0
     ready_at: float = 0.0
+    deferred: bool = False  # cache lookup waits for an in-batch twin
 
 
 class BatchEngine:
@@ -306,6 +307,7 @@ class BatchEngine:
         store_before = store_stats()
         results: List[Optional[JobResult]] = [None] * len(jobs)
         states = deque()
+        missed = set()  # keys looked up and missed earlier in this batch
         now = time.monotonic()
         for index, job in enumerate(jobs):
             self.telemetry.incr("jobs.submitted")
@@ -315,10 +317,17 @@ class BatchEngine:
                 key=job.content_hash(),
                 enqueued_at=now,
             )
+            if state.key in missed:
+                # An earlier twin will run first and may cache this key:
+                # look it up once, when its turn comes.
+                state.deferred = True
+                states.append(state)
+                continue
             hit = self._try_cache(state)
             if hit is not None:
                 results[index] = hit
             else:
+                missed.add(state.key)
                 states.append(state)
         if states:
             if self.workers == 0:
@@ -447,12 +456,11 @@ class BatchEngine:
     # ------------------------------------------------------------------
     def _run_serial(self, states, results) -> None:
         for state in states:
-            # A duplicate earlier in the batch may have populated the
-            # cache since this job was enqueued.
-            hit = self._try_cache(state)
-            if hit is not None:
-                results[state.index] = hit
-                continue
+            if state.deferred:
+                hit = self._try_cache(state)
+                if hit is not None:
+                    results[state.index] = hit
+                    continue
             while True:
                 state.attempts += 1
                 exec_start = time.perf_counter()
@@ -497,9 +505,8 @@ class BatchEngine:
 
                 while ready and len(inflight) < self.workers:
                     state = ready.popleft()
-                    if state.attempts == 0:
-                        # In-batch duplicates: a completed twin may have
-                        # cached this key after enqueue time.
+                    if state.attempts == 0 and state.deferred:
+                        # A completed twin may have cached this key.
                         hit = self._try_cache(state)
                         if hit is not None:
                             results[state.index] = hit

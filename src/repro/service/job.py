@@ -308,7 +308,7 @@ def execute_job(job: CompileJob) -> JobResult:
 
     from ..compiler.flow import compile_with_method
     from ..compiler.metrics import measure_compiled
-    from ..compiler.serialize import to_json
+    from ..compiler.serialize import to_document
     from ..store import flatten_store_events, store_stats
 
     key = job.content_hash()
@@ -351,7 +351,9 @@ def execute_job(job: CompileJob) -> JobResult:
         events = flatten_store_events(store_before, store_stats())
         if events:
             metrics["store_events"] = events
-        payload = encode_envelope(to_json(compiled), metrics)
+        # The document goes into the envelope as a dict: the same bytes as
+        # encode_envelope(to_json(compiled), metrics), encoded once.
+        payload = _envelope_text(to_document(compiled), metrics)
     except (KeyError, ValueError) as exc:
         return JobResult(
             job=job,
@@ -394,13 +396,19 @@ def encode_envelope(compiled_json: str, metrics: dict) -> str:
     so a disk cache can invalidate stale entries without parsing the whole
     compiled document.
     """
+    return _envelope_text(json.loads(compiled_json), metrics)
+
+
+def _envelope_text(document: Optional[dict], metrics: dict) -> str:
+    """:func:`encode_envelope` for a compiled document already decoded
+    (``None`` for envelopes that carry no compiled result)."""
     from ..compiler.serialize import FORMAT_VERSION
 
     return json.dumps(
         {
             "format_version": FORMAT_VERSION,
             "metrics": metrics,
-            "compiled": json.loads(compiled_json),
+            "compiled": document,
         },
         separators=(",", ":"),
     )

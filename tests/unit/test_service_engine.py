@@ -304,3 +304,26 @@ class TestCacheQuarantineTelemetry:
         assert report.summary()["cache_quarantined"] == 1
         # the poisoned file was moved aside, not silently deleted
         assert list(pathlib.Path(directory).glob("**/*.json.corrupt"))
+
+
+@pytest.mark.parametrize("workers", [0, 1], ids=["serial", "pooled"])
+class TestCacheLookupCounts:
+    """Each job is looked up once.  A twin of a job that missed earlier in
+    the batch is looked up after that job ran, so it is still a hit."""
+
+    def test_distinct_keys_one_lookup_each(self, workers):
+        cache = ResultCache()
+        jobs = _jobs(4)
+        run_batch(jobs[:2], cache=cache, workers=workers)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        report = run_batch(jobs, cache=cache, workers=workers)
+        assert [r.cached for r in report.results] == [True, True, False, False]
+        assert (cache.stats.hits, cache.stats.misses) == (2, 4)
+        assert report.cache_stats["hit_rate"] == pytest.approx(2 / 6)
+
+    def test_in_batch_duplicate_is_one_miss_then_a_hit(self, workers):
+        cache = ResultCache()
+        job = _jobs(1)[0]
+        report = run_batch([job, job], cache=cache, workers=workers)
+        assert [r.cached for r in report.results] == [False, True]
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.compiler import available_methods, serialize
+from repro.compiler.serialize import FORMAT_VERSION, to_document, to_json
 from repro.hardware import (
     ibmq_16_melbourne,
     melbourne_calibration,
@@ -14,6 +16,7 @@ from repro.qaoa.problems import Level, QAOAProgram
 from repro.service import (
     CompileJob,
     decode_envelope,
+    encode_envelope,
     execute_job,
     job_from_dict,
     job_to_dict,
@@ -158,6 +161,39 @@ class TestExecuteJob:
         result = execute_job(_job(program, device="nonexistent"))
         with pytest.raises(ValueError, match="no compiled result"):
             result.compiled()
+
+    @pytest.mark.parametrize("device", ["ibmq_20_tokyo", "ibmq_16_melbourne"])
+    @pytest.mark.parametrize("method", available_methods())
+    def test_payload_bytes_equal_two_step_encoding(
+        self, program, method, device, monkeypatch
+    ):
+        """The envelope is encoded once from the document dict, with the
+        same bytes as encoding ``to_json``'s text — so the payload format
+        (and caches written before the single encode) are unchanged.  The
+        explicit two-step encoding pins the bytes independently of
+        ``encode_envelope``'s own implementation."""
+        seen = []
+
+        def capture(compiled):
+            seen.append(compiled)
+            return to_document(compiled)
+
+        monkeypatch.setattr(serialize, "to_document", capture)
+        result = execute_job(
+            _job(program, device=device, method=method, calibration="auto")
+        )
+        assert result.ok, result.error
+        (compiled,) = seen
+        two_step = json.dumps(
+            {
+                "format_version": FORMAT_VERSION,
+                "metrics": result.metrics,
+                "compiled": json.loads(to_json(compiled)),
+            },
+            separators=(",", ":"),
+        )
+        assert result.payload == two_step
+        assert result.payload == encode_envelope(to_json(compiled), result.metrics)
 
 
 def _dirty_melbourne_payload():
