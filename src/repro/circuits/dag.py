@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from .circuit import QuantumCircuit
-from .gates import Instruction
+from .gates import GATES, Instruction
 
 __all__ = [
     "asap_layers",
@@ -28,6 +28,8 @@ __all__ = [
     "layer_qubit_sets",
     "qubit_activity",
 ]
+
+_DIRECTIVES = frozenset(name for name, spec in GATES.items() if spec.directive)
 
 
 def asap_layers(circuit: QuantumCircuit) -> List[List[Instruction]]:
@@ -66,17 +68,28 @@ def circuit_depth(circuit: QuantumCircuit) -> int:
     path in a quantum circuit (the path with the highest number of gate
     operations)".  Measurements count as gates; barriers do not.
     """
-    frontier: Dict[int, int] = {}
+    frontier = [0] * circuit.num_qubits
     depth = 0
     for inst in circuit:
-        start = max((frontier.get(q, 0) for q in inst.qubits), default=0)
-        if inst.is_directive:
-            for q in inst.qubits:
-                frontier[q] = max(frontier.get(q, 0), start)
+        qubits = inst.qubits
+        if inst.name in _DIRECTIVES:
+            start = max((frontier[q] for q in qubits), default=0)
+            for q in qubits:
+                frontier[q] = start
             continue
-        for q in inst.qubits:
-            frontier[q] = start + 1
-        depth = max(depth, start + 1)
+        if len(qubits) == 1:
+            q = qubits[0]
+            t = frontier[q] = frontier[q] + 1
+        elif len(qubits) == 2:
+            a, b = qubits
+            fa, fb = frontier[a], frontier[b]
+            t = frontier[a] = frontier[b] = (fa if fa > fb else fb) + 1
+        else:
+            t = max((frontier[q] for q in qubits), default=0) + 1
+            for q in qubits:
+                frontier[q] = t
+        if t > depth:
+            depth = t
     return depth
 
 

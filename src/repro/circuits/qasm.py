@@ -18,7 +18,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from .circuit import QuantumCircuit
-from .gates import Instruction
+from .gates import GATES, Instruction
 
 __all__ = ["dumps", "loads", "QASMError"]
 
@@ -57,6 +57,15 @@ _SUPPORTED: Dict[str, Tuple[str, int, int]] = {
 }
 
 
+#: Our gate name -> its QASM name, for every gate :func:`dumps` writes
+#: as ``name(params) args`` (barrier and measure have their own forms).
+_QASM_NAMES = {
+    name: _TO_QASM.get(name, name)
+    for name in GATES
+    if _TO_QASM.get(name, name) in _SUPPORTED
+}
+
+
 def dumps(circuit: QuantumCircuit) -> str:
     """Serialise a circuit to OpenQASM 2.0 text.
 
@@ -69,25 +78,31 @@ def dumps(circuit: QuantumCircuit) -> str:
         f"qreg q[{circuit.num_qubits}];",
         f"creg c[{circuit.num_qubits}];",
     ]
+    append = lines.append
+    names = _QASM_NAMES
     for inst in circuit:
-        if inst.name == "barrier":
-            args = ", ".join(f"q[{q}]" for q in inst.qubits)
-            lines.append(f"barrier {args};")
+        qubits = inst.qubits
+        head = names.get(inst.name)
+        if head is None:
+            if inst.name == "barrier":
+                append("barrier " + ", ".join(f"q[{q}]" for q in qubits) + ";")
+            elif inst.name == "measure":
+                q = qubits[0]
+                append(f"measure q[{q}] -> c[{q}];")
+            else:
+                raise QASMError(f"gate {inst.name!r} has no QASM 2.0 mapping")
             continue
-        if inst.name == "measure":
-            q = inst.qubits[0]
-            lines.append(f"measure q[{q}] -> c[{q}];")
-            continue
-        name = _TO_QASM.get(inst.name, inst.name)
-        if name not in _SUPPORTED:
-            raise QASMError(f"gate {inst.name!r} has no QASM 2.0 mapping")
-        params = (
-            "(" + ",".join(repr(p) for p in inst.params) + ")"
-            if inst.params
-            else ""
-        )
-        args = ",".join(f"q[{q}]" for q in inst.qubits)
-        lines.append(f"{name}{params} {args};")
+        params = inst.params
+        if len(params) == 1:
+            head = f"{head}({params[0]!r})"
+        elif params:
+            head = f"{head}({','.join(map(repr, params))})"
+        if len(qubits) == 2:
+            append(f"{head} q[{qubits[0]}],q[{qubits[1]}];")
+        elif len(qubits) == 1:
+            append(f"{head} q[{qubits[0]}];")
+        else:
+            append(head + " " + ",".join(f"q[{q}]" for q in qubits) + ";")
     return "\n".join(lines) + "\n"
 
 
@@ -98,14 +113,21 @@ _MEASURE_RE = re.compile(r"^measure\s+(\w+)\[(\d+)\]\s*->\s*(\w+)\[(\d+)\]$")
 _GATE_RE = re.compile(r"^(\w+)\s*(\(([^)]*)\))?\s*(.+)$")
 _ARG_RE = re.compile(r"^(\w+)\[(\d+)\]$")
 
+_PARAM_RE = re.compile(r"[0-9eE\.\+\-\*/\s\(\)pi]*")
+
 _CONSTANTS = {"pi": math.pi}
 
 
 def _eval_param(text: str) -> float:
     """Evaluate a numeric QASM parameter expression (numbers, pi, + - * /)."""
     expr = text.strip()
-    if not re.fullmatch(r"[0-9eE\.\+\-\*/\s\(\)pi]*", expr):
+    if not _PARAM_RE.fullmatch(expr):
         raise QASMError(f"unsupported parameter expression {text!r}")
+    try:
+        # A plain decimal (what dumps writes) parses exactly as the literal.
+        return float(expr)
+    except ValueError:
+        pass
     try:
         return float(eval(expr, {"__builtins__": {}}, _CONSTANTS))  # noqa: S307
     except Exception as exc:  # pragma: no cover - defensive

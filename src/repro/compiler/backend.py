@@ -21,13 +21,32 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..circuits import QuantumCircuit, asap_layers, decompose_to_basis
-from ..circuits.gates import Instruction
+from ..circuits.gates import GATES, Instruction
 from ..hardware.coupling import CouplingGraph
 from .mapping import Mapping
 from .metrics import native_metrics
 from .routing import route_pair
 
 __all__ = ["CompiledCircuit", "ConventionalBackend"]
+
+
+#: Gates the coupling constrains when they act on two qubits.
+_UNITARY = frozenset(name for name, spec in GATES.items() if spec.is_unitary)
+
+
+def _coupling_violation(
+    circuit: QuantumCircuit, coupling: CouplingGraph
+) -> Optional[Instruction]:
+    """The first two-qubit unitary gate of ``circuit`` that is not on a
+    coupling of ``coupling``, or ``None`` when the circuit complies."""
+    edges = coupling.edges
+    for inst in circuit:
+        qubits = inst.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            if ((a, b) if a < b else (b, a)) not in edges and inst.name in _UNITARY:
+                return inst
+    return None
 
 
 @dataclasses.dataclass
@@ -68,12 +87,12 @@ class CompiledCircuit:
 
     def validate(self) -> None:
         """Assert every two-qubit gate sits on a device coupling."""
-        for inst in self.circuit:
-            if inst.is_two_qubit and not self.coupling.has_edge(*inst.qubits):
-                raise AssertionError(
-                    f"gate {inst} violates coupling constraints of "
-                    f"{self.coupling.name}"
-                )
+        inst = _coupling_violation(self.circuit, self.coupling)
+        if inst is not None:
+            raise AssertionError(
+                f"gate {inst} violates coupling constraints of "
+                f"{self.coupling.name}"
+            )
 
 
 class ConventionalBackend:

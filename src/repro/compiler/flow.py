@@ -34,10 +34,12 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..circuits import QuantumCircuit, decompose_to_basis
+from ..circuits.gates import Instruction
 from ..hardware.calibration import Calibration
 from ..hardware.coupling import CouplingGraph
 from ..hardware.target import Target, intern_target
 from ..qaoa.problems import QAOAProgram
+from .backend import _coupling_violation
 from .ic import IncrementalCompiler
 from .mapping import Mapping
 from .metrics import native_metrics, success_probability
@@ -181,11 +183,11 @@ class CompiledQAOA:
 
     def validate(self) -> None:
         """Assert coupling compliance of every two-qubit gate."""
-        for inst in self.circuit:
-            if inst.is_two_qubit and not self.coupling.has_edge(*inst.qubits):
-                raise AssertionError(
-                    f"gate {inst} violates coupling of {self.coupling.name}"
-                )
+        inst = _coupling_violation(self.circuit, self.coupling)
+        if inst is not None:
+            raise AssertionError(
+                f"gate {inst} violates coupling of {self.coupling.name}"
+            )
 
     def success_probability(self, calibration: Calibration, **kwargs) -> float:
         """Product-of-gate-success-rates metric (see
@@ -408,9 +410,12 @@ def run_incremental_flow(
     """
     coupling = compiler.coupling
     out = QuantumCircuit(coupling.num_qubits, name="qaoa_ic")
-    n = program.num_qubits
-    for q in range(n):
-        out.h(mapping.physical(q))
+    # Angles come from the validated program and qubits from the mapping
+    # (Python ints), so these gates are not re-validated.
+    gate = Instruction._unchecked
+    home = mapping.physical
+    qubits = range(program.num_qubits)
+    out.extend([gate("h", (home(q),)) for q in qubits])
     swap_count = 0
     for level in range(program.p):
         block = compiler.compile_block(
@@ -418,13 +423,10 @@ def run_incremental_flow(
         )
         swap_count += block.swap_count
         # Linear Ising terms: virtual RZs, diagonal, commute with the block.
-        for q, angle in program.rz_gates(level):
-            out.rz(angle, mapping.physical(q))
-        mixer = program.mixer_angle(level)
-        for q in range(n):
-            out.rx(mixer, mapping.physical(q))
-    for q in range(n):
-        out.measure(mapping.physical(q))
+        out.extend([gate("rz", (home(q),), (angle,)) for q, angle in program.rz_gates(level)])
+        mixer = (program.mixer_angle(level),)
+        out.extend([gate("rx", (home(q),), mixer) for q in qubits])
+    out.extend([gate("measure", (home(q),)) for q in qubits])
     return out, mapping.as_dict(), swap_count
 
 

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits import QuantumCircuit
+from ..circuits.gates import Instruction
 from ..hardware.coupling import CouplingGraph
 from .backend import ConventionalBackend
 from .ip import fill_single_layer
@@ -125,7 +126,11 @@ class IncrementalCompiler:
         this is the "stitching" of Figure 2).
 
         Args:
-            gates: ``(logical_a, logical_b, gamma)`` triples of the block.
+            gates: ``(logical_a, logical_b, gamma)`` triples of the block,
+                as a validated :class:`~repro.qaoa.problems.QAOAProgram`
+                yields them (distinct Python ``int`` endpoints, ``float``
+                angles); their CPHASE gates are built without
+                re-validation.
             mapping: Current placement; every endpoint must be placed.
             out: Physical circuit under construction.
             max_iterations: Safety bound on layer-formation loops.
@@ -143,21 +148,23 @@ class IncrementalCompiler:
             layer_pairs, _ = fill_single_layer(
                 pair_list, packing_limit=self.packing_limit
             )
-            chosen = set()
+            unchosen = set(layer_pairs)
             layer_gates: List[ParamPair] = []
             for gate in ordered:
                 key = (gate[0], gate[1])
-                if key in set(layer_pairs) and key not in chosen:
+                if key in unchosen:
                     layer_gates.append(gate)
-                    chosen.add(key)
+                    unchosen.discard(key)
             if not layer_gates:  # packing limit >= 1 guarantees progress
                 raise RuntimeError("IC formed an empty layer")
             partial = QuantumCircuit(
                 1 + max(max(a, b) for a, b, _ in layer_gates),
+                [
+                    Instruction._unchecked("cphase", (a, b), (gamma,))
+                    for a, b, gamma in layer_gates
+                ],
                 name="ic_partial",
             )
-            for a, b, gamma in layer_gates:
-                partial.cphase(gamma, a, b)
             swap_count += self.backend.continue_compile(partial, mapping, out)
             layers.append([(a, b) for a, b, _ in layer_gates])
             remaining = _remove_once(remaining, layer_gates)

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_chec
 import numpy as np
 
 from ..circuits import QuantumCircuit, decompose_to_basis
+from ..circuits.gates import Instruction
 from ..hardware.coupling import CouplingGraph
 from ..hardware.target import Target, as_target
 from ..qaoa.problems import QAOAProgram
@@ -461,18 +462,18 @@ class RoutingPass:
             level_gates = [
                 list(program.cphase_gates(level)) for level in range(program.p)
             ]
-        logical = QuantumCircuit(program.num_qubits, name="qaoa")
-        for q in range(program.num_qubits):
-            logical.h(q)
+        # Every gate comes from the validated program (Python int qubits,
+        # float angles), so none is re-validated.
+        gate = Instruction._unchecked
+        qubits = range(program.num_qubits)
+        gates = [gate("h", (q,)) for q in qubits]
         for level in range(program.p):
-            for a, b, angle in level_gates[level]:
-                logical.cphase(angle, a, b)
-            for q, angle in program.rz_gates(level):
-                logical.rz(angle, q)
-            mixer = program.mixer_angle(level)
-            for q in range(program.num_qubits):
-                logical.rx(mixer, q)
-        logical.measure_all()
+            gates += [gate("cphase", (a, b), (angle,)) for a, b, angle in level_gates[level]]
+            gates += [gate("rz", (q,), (angle,)) for q, angle in program.rz_gates(level)]
+            mixer = (program.mixer_angle(level),)
+            gates += [gate("rx", (q,), mixer) for q in qubits]
+        gates += [gate("measure", (q,)) for q in qubits]
+        logical = QuantumCircuit(program.num_qubits, gates, name="qaoa")
         backend = make_router(
             self.router, context.target, context.distance_metric
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from typing import Union
 
+from ..circuits import QuantumCircuit
 from ..circuits.qasm import dumps as qasm_dumps
 from ..circuits.qasm import loads as qasm_loads
 from ..hardware.coupling import CouplingGraph
@@ -27,6 +28,7 @@ from .pipeline import PassRecord
 __all__ = [
     "to_document",
     "to_json",
+    "from_document",
     "from_json",
     "FORMAT_VERSION",
     "COMPAT_READ_VERSIONS",
@@ -106,7 +108,12 @@ def to_json(compiled: Union[CompiledQAOA, CompiledCircuit]) -> str:
 
 def from_json(text: str) -> Union[CompiledQAOA, CompiledCircuit]:
     """Restore a compiled result produced by :func:`to_json`."""
-    payload = json.loads(text)
+    return from_document(json.loads(text))
+
+
+def from_document(payload: dict) -> Union[CompiledQAOA, CompiledCircuit]:
+    """Restore a compiled result from its decoded document (the inverse of
+    :func:`to_document`)."""
     if not isinstance(payload, dict):
         raise ValueError(
             f"compiled-result payload must be a JSON object, "
@@ -126,8 +133,10 @@ def from_json(text: str) -> Union[CompiledQAOA, CompiledCircuit]:
             f"circuit or prune the stale cache entry"
         )
     coupling = _coupling_from(payload["coupling"])
-    circuit = qasm_loads(payload["qasm"])
-    circuit = circuit.remap({}, num_qubits=coupling.num_qubits)
+    loaded = qasm_loads(payload["qasm"])
+    # Widen to the device register; the parsed instructions are already
+    # validated, so only their qubit range is checked again.
+    circuit = QuantumCircuit(coupling.num_qubits, loaded, name=loaded.name)
     common = dict(
         circuit=circuit,
         coupling=coupling,

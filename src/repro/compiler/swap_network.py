@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits import QuantumCircuit
+from ..circuits.gates import Instruction
 from ..hardware.coupling import CouplingGraph
 from .mapping import Mapping
 
@@ -221,11 +222,10 @@ class SwapNetworkPass:
         owner_of_phys = {p: q for q, p in mapping.items()}
         owners = [owner_of_phys[p] for p in chain]
 
-        circuit = QuantumCircuit(
-            context.coupling.num_qubits, name="qaoa_swapnet"
-        )
-        for q in range(n):
-            circuit.h(mapping[q])
+        # Qubits come from the mapping and the device's chain (Python ints)
+        # and angles from the validated program: no gate is re-validated.
+        gate = Instruction._unchecked
+        gates = [gate("h", (mapping[q],)) for q in range(n)]
 
         swaps = 0
         fused = 0
@@ -249,24 +249,23 @@ class SwapNetworkPass:
                     angles = pair_angles.get((min(qa, qb), max(qa, qb)))
                     if angles:
                         for angle in angles:
-                            circuit.cphase(angle, pa, pb)
+                            gates.append(gate("cphase", (pa, pb), (angle,)))
                         fused += 1
-                    circuit.swap(pa, pb)
+                    gates.append(gate("swap", (pa, pb)))
                     swaps += 1
                     owners[i], owners[i + 1] = owners[i + 1], owners[i]
             layer_counts.append(last_used + 1)
             home = {owners[i]: chain[i] for i in range(n)}
-            for q, angle in program.rz_gates(level):
-                circuit.rz(angle, home[q])
-            mixer = program.mixer_angle(level)
-            for q in range(n):
-                circuit.rx(mixer, home[q])
+            gates += [gate("rz", (home[q],), (angle,)) for q, angle in program.rz_gates(level)]
+            mixer = (program.mixer_angle(level),)
+            gates += [gate("rx", (home[q],), mixer) for q in range(n)]
 
         final_home = {owners[i]: chain[i] for i in range(n)}
-        for q in range(n):
-            circuit.measure(final_home[q])
+        gates += [gate("measure", (final_home[q],)) for q in range(n)]
 
-        context.circuit = circuit
+        context.circuit = QuantumCircuit(
+            context.coupling.num_qubits, gates, name="qaoa_swapnet"
+        )
         context.final_mapping = final_home
         context.swap_count += swaps
         self.info = {

@@ -33,6 +33,20 @@ Pair = Tuple[int, int]
 _MAX_BRUTE_FORCE_QUBITS = 26
 
 
+def _as_index(value, what: str) -> int:
+    """``value`` as a Python ``int``; raises unless it is integral."""
+    if type(value) is int:
+        return value
+    try:
+        index = int(value)
+        integral = index == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return index
+
+
 @dataclasses.dataclass(frozen=True)
 class Level:
     """One QAOA level's parameters ``(gamma, beta)``."""
@@ -54,6 +68,12 @@ class QAOAProgram:
             Ising problems have them; MaxCut does not).  Single-qubit gates
             never constrain routing, so all compilation flows apply
             unchanged.
+
+    Construction is the trust boundary for every gate the compiler derives
+    from a program: qubit indices become Python ``int`` (non-integral
+    values are rejected) and weights, angles and fields Python ``float``,
+    so those gates are built without re-validation and numpy scalars hash
+    like their Python twins.
     """
 
     num_qubits: int
@@ -62,18 +82,28 @@ class QAOAProgram:
     linear: Dict[int, float] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
+        n = self.num_qubits = _as_index(self.num_qubits, "num_qubits")
+        if n < 1:
             raise ValueError("num_qubits must be positive")
         if not self.levels:
             raise ValueError("a QAOA program needs at least one level")
+        edges = []
         for a, b, w in self.edges:
+            a, b = _as_index(a, "edge endpoint"), _as_index(b, "edge endpoint")
             if a == b:
                 raise ValueError(f"self-loop edge ({a}, {b})")
-            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a}, {b}) out of range")
-        for i in self.linear:
-            if not 0 <= i < self.num_qubits:
+            edges.append((a, b, float(w)))
+        self.edges = edges
+        self.levels = [Level(float(lv.gamma), float(lv.beta)) for lv in self.levels]
+        linear = {}
+        for i, h in self.linear.items():
+            i = _as_index(i, "linear term index")
+            if not 0 <= i < n:
                 raise ValueError(f"linear term index {i} out of range")
+            linear[i] = float(h)
+        self.linear = linear
 
     @property
     def p(self) -> int:

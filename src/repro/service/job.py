@@ -35,6 +35,7 @@ from ..compiler.pipeline import PipelineSpec
 from ..hardware.calibration import Calibration, random_calibration
 from ..hardware.coupling import CouplingGraph
 from ..qaoa.problems import Level, QAOAProgram
+from ..store.registry import FingerprintRegistry
 
 __all__ = [
     "HASH_VERSION",
@@ -99,6 +100,18 @@ class CompileJob:
     seed: int = 0
     calibration: CalibrationSpec = None
     job_id: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # A spec form that cannot resolve is rejected here, where the job
+        # is built (one bad JSONL line), not in the middle of a batch.
+        spec = self.calibration
+        if not (
+            spec is None
+            or (isinstance(spec, str) and spec == "auto")
+            or isinstance(spec, Calibration)
+            or (isinstance(spec, dict) and ("cnot_error" in spec or "seed" in spec))
+        ):
+            raise ValueError(f"unsupported calibration spec {spec!r}")
 
     # ------------------------------------------------------------------
     # content addressing
@@ -270,10 +283,9 @@ class JobResult:
                 f"job {self.job.job_id or self.key[:12]} has no compiled "
                 f"result ({self.error_kind}: {self.error})"
             )
-        from ..compiler.serialize import from_json
+        from ..compiler.serialize import from_document
 
-        _, compiled_json = decode_envelope(self.payload)
-        return from_json(compiled_json)
+        return from_document(_read_envelope(self.payload)["compiled"])
 
     def to_record(self, include_payload: bool = False) -> dict:
         """JSONL-friendly dict (one line of ``repro batch`` output)."""
@@ -311,17 +323,12 @@ def execute_job(job: CompileJob) -> JobResult:
     from ..compiler.serialize import to_document
     from ..store import flatten_store_events, store_stats
 
-    key = job.content_hash()
+    key = ""
     start = time.perf_counter()
     store_before = store_stats()
     try:
-        device, calibration, warnings = resolve_job_environment(job)
-        # One interned Target per distinct device+calibration (repair
-        # warnings included): every job sharing this environment reuses
-        # the same memoized device analyses, within and across batches.
-        from ..hardware.target import intern_target
-
-        target = intern_target(device, calibration, warnings=tuple(warnings))
+        key = job.content_hash()
+        calibration, warnings, target = _job_environment(job)
         compiled = compile_with_method(
             job.program,
             target,
@@ -332,7 +339,7 @@ def execute_job(job: CompileJob) -> JobResult:
         )
         # Repair provenance rides on the compiled result so the serialised
         # document (and thus the cache) carries the full degradation story.
-        compiled.warnings = warnings + compiled.warnings
+        compiled.warnings = list(warnings) + compiled.warnings
         measured = measure_compiled(compiled, calibration=calibration)
         metrics = {
             "depth": measured.depth,
@@ -386,6 +393,55 @@ def execute_job(job: CompileJob) -> JobResult:
     )
 
 
+#: Resolved environments by :func:`_environment_key` (bounded LRU, sized
+#: like the Target registry).
+_ENVIRONMENTS = FingerprintRegistry(
+    "job_environments", env_var="REPRO_REGISTRY_CAPACITY", default_capacity=256
+)
+
+
+def _environment_key(job: CompileJob) -> str:
+    """Everything :func:`resolve_job_environment` reads: the canonical
+    device, the calibration spec, and the job seed when the spec draws a
+    random calibration from it (``"auto"`` off melbourne)."""
+    device = _device_canonical(job.device)
+    spec = job.calibration
+    draws_seed = (
+        isinstance(spec, str)
+        and spec == "auto"
+        and device["name"] != "ibmq_16_melbourne"
+    )
+    return json.dumps(
+        [
+            device,
+            _calibration_payload(spec) if isinstance(spec, Calibration) else spec,
+            job.seed if draws_seed else None,
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def _job_environment(job: CompileJob):
+    """``(calibration, warnings, target)`` for the job, resolved once per
+    distinct environment: the calibration (repaired when dirty), the
+    repair warnings, and the interned
+    :class:`~repro.hardware.target.Target` over the device that every job
+    sharing the environment compiles against.  A miss calls
+    :func:`resolve_job_environment` and ``intern_target`` as looked up at
+    call time; failures raise and are never stored."""
+
+    def resolve():
+        from ..hardware.target import intern_target
+
+        device, calibration, warnings = resolve_job_environment(job)
+        warnings = tuple(warnings)
+        return calibration, warnings, intern_target(device, calibration, warnings=warnings)
+
+    environment, _ = _ENVIRONMENTS.intern(_environment_key(job), resolve)
+    return environment
+
+
 # ----------------------------------------------------------------------
 # result envelope (what the cache stores)
 # ----------------------------------------------------------------------
@@ -416,6 +472,13 @@ def _envelope_text(document: Optional[dict], metrics: dict) -> str:
 
 def decode_envelope(text: str) -> "tuple[dict, str]":
     """Return ``(metrics, compiled_json)`` from an envelope string."""
+    payload = _read_envelope(text)
+    return payload["metrics"], json.dumps(payload["compiled"])
+
+
+def _read_envelope(text: str) -> dict:
+    """The decoded envelope; raises ``ValueError`` unless it is at the
+    current format version."""
     from ..compiler.serialize import FORMAT_VERSION
 
     payload = json.loads(text)
@@ -425,7 +488,7 @@ def decode_envelope(text: str) -> "tuple[dict, str]":
             f"stale result envelope: format version {version!r} "
             f"(current {FORMAT_VERSION})"
         )
-    return payload["metrics"], json.dumps(payload["compiled"])
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -483,17 +546,13 @@ def job_from_dict(spec: dict) -> CompileJob:
         betas = prog.get("betas", [0.35])
         if len(gammas) != len(betas):
             raise ValueError("gammas and betas must have equal length")
+        # QAOAProgram coerces (and range-checks) every field itself; only
+        # the linear terms' JSON object keys need parsing here.
         program = QAOAProgram(
-            num_qubits=int(prog["num_qubits"]),
-            edges=[
-                (int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0)
-                for e in prog["edges"]
-            ],
-            levels=[Level(float(g), float(b)) for g, b in zip(gammas, betas)],
-            linear={
-                int(q): float(h)
-                for q, h in prog.get("linear", {}).items()
-            },
+            num_qubits=prog["num_qubits"],
+            edges=[(e[0], e[1], e[2] if len(e) > 2 else 1.0) for e in prog["edges"]],
+            levels=[Level(g, b) for g, b in zip(gammas, betas)],
+            linear={int(q): h for q, h in prog.get("linear", {}).items()},
         )
     elif "problem" in spec:
         from ..experiments.harness import make_problem

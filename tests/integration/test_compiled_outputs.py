@@ -7,7 +7,10 @@
 * Instructions the router copies without re-validation are exactly what
   the validating constructor builds, with ``int`` qubits and ``float``
   params.
-* OpenQASM round-trips the compiled circuit.
+* OpenQASM round-trips the compiled circuit, and ``qasm.dumps`` writes
+  the same bytes as its pre-rewrite reference kept below.
+* A program built from numpy scalars compiles to the instructions of its
+  Python-scalar twin.
 
 Both paper devices, with and without a calibration whose per-edge and
 per-qubit rates all differ (so multiplication order shows in the bits);
@@ -21,7 +24,7 @@ from repro.circuits import GATES, Instruction, QuantumCircuit, decompose_to_basi
 from repro.compiler import available_methods, compile_with_method
 from repro.compiler.metrics import measure_compiled, native_metrics, success_probability
 from repro.hardware import Calibration, ibmq_16_melbourne, ibmq_20_tokyo, linear_device
-from repro.qaoa import MaxCutProblem
+from repro.qaoa import Level, MaxCutProblem, QAOAProgram
 
 PROGRAM = MaxCutProblem(
     8,
@@ -149,3 +152,75 @@ def test_emitted_instructions_revalidate_and_round_trip(device_fn, method):
         assert all(type(q) is int for q in inst.qubits), inst
         assert all(type(p) is float for p in inst.params), inst
     assert qasm.loads(qasm.dumps(compiled.circuit)) == compiled.circuit
+
+
+def reference_qasm_dumps(circuit):
+    """``qasm.dumps`` as it was written before its one-loop rewrite (the
+    byte-for-byte reference the rewrite must reproduce)."""
+    lines = [
+        "OPENQASM 2.0;",
+        'include "qelib1.inc";',
+        f"qreg q[{circuit.num_qubits}];",
+        f"creg c[{circuit.num_qubits}];",
+    ]
+    for inst in circuit:
+        if inst.name == "barrier":
+            args = ", ".join(f"q[{q}]" for q in inst.qubits)
+            lines.append(f"barrier {args};")
+            continue
+        if inst.name == "measure":
+            q = inst.qubits[0]
+            lines.append(f"measure q[{q}] -> c[{q}];")
+            continue
+        name = qasm._TO_QASM.get(inst.name, inst.name)
+        if name not in qasm._SUPPORTED:
+            raise qasm.QASMError(f"gate {inst.name!r} has no QASM 2.0 mapping")
+        params = (
+            "(" + ",".join(repr(p) for p in inst.params) + ")"
+            if inst.params
+            else ""
+        )
+        args = ",".join(f"q[{q}]" for q in inst.qubits)
+        lines.append(f"{name}{params} {args};")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("device_fn", DEVICES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("method", available_methods())
+def test_qasm_dumps_equals_reference(device_fn, method):
+    compiled, _ = _compile(device_fn, method, calibrated=True)
+    assert qasm.dumps(compiled.circuit) == reference_qasm_dumps(compiled.circuit)
+
+
+def test_qasm_dumps_equals_reference_on_every_gate():
+    circuit = _every_gate_circuit()
+    # Signed zeros, a subnormal and an empty barrier on top of every gate.
+    circuit.append(Instruction("barrier", ()))
+    circuit.append(Instruction("u3", (0,), (-0.0, 0.0, 5e-324)))
+    circuit.append(Instruction("cphase", (2, 3), (-0.0,)))
+    circuit.append(Instruction("cphase", (3, 2), (0.0,)))
+    assert qasm.dumps(circuit) == reference_qasm_dumps(circuit)
+
+
+def test_numpy_scalar_program_compiles_like_its_python_twin():
+    twin = QAOAProgram(
+        num_qubits=np.int64(PROGRAM.num_qubits),
+        edges=[(np.int64(a), np.int32(b), np.float64(w)) for a, b, w in PROGRAM.edges],
+        levels=[Level(np.float64(lv.gamma), np.float64(lv.beta)) for lv in PROGRAM.levels],
+    )
+    python = PROGRAM
+    assert twin == python
+    for device_fn in DEVICES:
+        for method in available_methods():
+            a = compile_with_method(
+                twin, device_fn(), method, calibration=_calibration(device_fn()),
+                rng=np.random.default_rng(3),
+            )
+            b = compile_with_method(
+                python, device_fn(), method, calibration=_calibration(device_fn()),
+                rng=np.random.default_rng(3),
+            )
+            assert a.circuit.instructions == b.circuit.instructions, method
+            for inst in a.circuit:
+                assert all(type(q) is int for q in inst.qubits), inst
+                assert all(type(p) is float for p in inst.params), inst

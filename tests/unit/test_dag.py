@@ -1,7 +1,10 @@
 """Unit tests for ASAP layering and depth metrics — including the paper's
 Figure 1(b)/(c) motivating example."""
 
+import numpy as np
+
 from repro.circuits import (
+    Instruction,
     QuantumCircuit,
     asap_layers,
     circuit_depth,
@@ -155,3 +158,38 @@ class TestQubitActivity:
     def test_directives_ignored(self):
         qc = QuantumCircuit(2).barrier().h(0)
         assert qubit_activity(qc) == {0: 1, 1: 0}
+
+
+class TestDepthMatchesLayering:
+    """``circuit_depth`` is the number of ASAP layers, barriers included."""
+
+    NAMES = ("h", "rx", "measure", "cnot", "cphase", "swap", "barrier")
+
+    def _random_circuit(self, rng, num_qubits, length):
+        qc = QuantumCircuit(num_qubits)
+        for _ in range(length):
+            name = self.NAMES[int(rng.integers(len(self.NAMES)))]
+            if name == "barrier":
+                arity = int(rng.integers(0, num_qubits + 1))
+            else:
+                arity = 2 if name in ("cnot", "cphase", "swap") else 1
+            if arity > num_qubits:
+                continue
+            qubits = tuple(int(q) for q in rng.choice(num_qubits, size=arity, replace=False))
+            params = (float(rng.uniform(-3, 3)),) if name in ("rx", "cphase") else ()
+            qc.append(Instruction(name, qubits, params))
+        return qc
+
+    def test_random_circuits_with_barriers(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(300):
+            qc = self._random_circuit(
+                rng, int(rng.integers(1, 7)), int(rng.integers(0, 40))
+            )
+            assert circuit_depth(qc) == len(asap_layers(qc)), trial
+
+    def test_barrier_only_and_empty(self):
+        assert circuit_depth(QuantumCircuit(3)) == 0
+        assert circuit_depth(QuantumCircuit(3).barrier()) == 0
+        qc = QuantumCircuit(3).h(0).barrier(0, 1).h(1).barrier().h(2)
+        assert circuit_depth(qc) == len(asap_layers(qc)) == 3

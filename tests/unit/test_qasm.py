@@ -1,12 +1,13 @@
 """Unit tests for OpenQASM 2.0 export/import."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit, decompose_to_basis
-from repro.circuits.qasm import QASMError, dumps, loads
+from repro.circuits.qasm import QASMError, _eval_param, dumps, loads
 from repro.sim import StatevectorSimulator
 
 
@@ -69,6 +70,20 @@ class TestLoads:
         parsed = loads(text)
         assert parsed[0].params[0] == pytest.approx(math.pi / 2)
         assert parsed[1].params[0] == pytest.approx(-math.pi)
+
+    def test_decimal_parameters_parse_bit_exact(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64)
+        values = [float(v) for v in bits.view(np.float64) if np.isfinite(v)]
+        values += [float(v) for v in rng.normal(scale=3.0, size=500)]
+        values += [
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            -1.5e-310, 1e-05, -1e22, 1e300, 1.7976931348623157e308,
+            0.1, -0.7, 123456789.0,
+        ]
+        for value in values:
+            parsed = _eval_param(repr(value))
+            assert struct.pack("<d", parsed) == struct.pack("<d", value), value
 
     def test_comments_stripped(self):
         text = (

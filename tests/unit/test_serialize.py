@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from repro.circuits import QuantumCircuit
+from repro.circuits import Instruction, QuantumCircuit, qasm
 from repro.compiler import (
     CompiledQAOA,
     ConventionalBackend,
     Mapping,
     compile_with_method,
 )
-from repro.compiler.serialize import from_json, to_json
+from repro.compiler.serialize import from_document, from_json, to_json
 from repro.hardware import ibmq_16_melbourne, melbourne_calibration, ring_device
 from repro.qaoa import MaxCutProblem
 
@@ -132,6 +132,20 @@ class TestValidation:
         )
         with pytest.raises(AssertionError, match="violates"):
             from_json(json.dumps(payload))
+
+    def test_register_widened_to_the_device(self, rng):
+        program = MaxCutProblem(4, [(0, 1), (1, 2), (2, 3)]).to_program([0.4], [0.2])
+        compiled = compile_with_method(program, ibmq_16_melbourne(), "ic", rng=rng)
+        used = 1 + max(q for inst in compiled.circuit for q in inst.qubits)
+        assert used < compiled.coupling.num_qubits
+        payload = json.loads(to_json(compiled))
+        payload["qasm"] = qasm.dumps(QuantumCircuit(used, compiled.circuit.instructions))
+        restored = from_document(payload)
+        assert restored.circuit.num_qubits == compiled.coupling.num_qubits
+        assert restored.circuit.instructions == compiled.circuit.instructions
+        payload["qasm"] = qasm.dumps(QuantumCircuit(16, [Instruction("h", (15,))]))
+        with pytest.raises(ValueError, match="out of range"):
+            from_document(payload)
 
     def test_vic_result_round_trips(self, rng):
         problem = MaxCutProblem(6, [(0, 1), (1, 2), (2, 3), (4, 5), (0, 5)])
