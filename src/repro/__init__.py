@@ -118,7 +118,7 @@ from .sim import (
     evaluate_fast,
 )
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "__version__",

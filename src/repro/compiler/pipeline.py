@@ -446,7 +446,15 @@ class VICDistancePass:
 
 class RoutingPass:
     """Monolithic routing: build the full logical circuit from the ordered
-    level gates and compile it once with the chosen backend router."""
+    level gates, compile it once with the chosen backend router, then
+    measure every logical qubit at its final home.
+
+    The measures are appended after routing, not routed: both routers
+    schedule a measure right after its qubit's last mixer and would then
+    SWAP through that wire while routing other qubits, leaving
+    ``c[final_mapping[q]]`` holding another qubit's outcome.  Measures are
+    sinks in both routers' dependency order, so leaving them out does not
+    change one routed gate."""
 
     def __init__(self, router: str = "layered") -> None:
         self.router = router
@@ -472,14 +480,15 @@ class RoutingPass:
             gates += [gate("rz", (q,), (angle,)) for q, angle in program.rz_gates(level)]
             mixer = (program.mixer_angle(level),)
             gates += [gate("rx", (q,), mixer) for q in qubits]
-        gates += [gate("measure", (q,)) for q in qubits]
         logical = QuantumCircuit(program.num_qubits, gates, name="qaoa")
         backend = make_router(
             self.router, context.target, context.distance_metric
         )
         compiled = backend.compile(logical, context.mapping)
+        final = compiled.final_mapping
+        compiled.circuit.extend([gate("measure", (final[q],)) for q in qubits])
         context.circuit = compiled.circuit
-        context.final_mapping = compiled.final_mapping
+        context.final_mapping = final
         context.swap_count += compiled.swap_count
 
 

@@ -39,13 +39,16 @@ __all__ = [
 #: v2: QAOA payloads carry the per-pass ``pass_trace`` (pipeline refactor).
 #: v3: QAOA payloads carry the ``target_fingerprint`` (Target layer).
 #: v4: QAOA payloads carry ``encoding``/``encoding_info`` (parity method).
-FORMAT_VERSION = 4
+#: v5: same layout; every method measures each logical qubit at its final
+#:     home (naive/qaim/greedy/ip outputs could measure a qubit and then
+#:     SWAP it away), so results cached before that fix recompile.
+FORMAT_VERSION = 5
 
 #: Versions :func:`from_json` can restore.  v2/v3 payloads are a strict
 #: subset of v4 (they lack the fingerprint and/or encoding fields), so
 #: they load with ``target_fingerprint=None`` / ``encoding="direct"``
-#: instead of forcing a recompile.
-COMPAT_READ_VERSIONS = frozenset({2, 3, 4})
+#: instead of forcing a recompile; v4 has the v5 layout.
+COMPAT_READ_VERSIONS = frozenset({2, 3, 4, 5})
 
 # Backwards-compatible alias (pre-service-layer name).
 _FORMAT_VERSION = FORMAT_VERSION

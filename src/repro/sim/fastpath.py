@@ -40,6 +40,12 @@ Pauli noise landing on an unmapped physical qubit cannot reach any
 decoded logical bit (cost gates never couple mapped and unmapped qubits;
 SWAPs only relocate), so it degrades to a classical "dirt bit" tracked
 per physical qubit.
+
+Sampled evaluation draws in the logical frame too: the ``2^n`` support,
+ordered by physical index, is sampled exactly as ``Generator.choice``
+samples the dense physical register, and readout flips land on logical
+bits, so the numbers equal the gate-level path's without ever building a
+physical-register distribution beyond its normalising sum.
 """
 
 from __future__ import annotations
@@ -363,16 +369,20 @@ def diagonal_registry_stats() -> dict:
 # ----------------------------------------------------------------------
 # noiseless fast path
 # ----------------------------------------------------------------------
-def _apply_single(
-    state: np.ndarray, matrix: np.ndarray, qubit: int, num_qubits: int
-) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a flat ``2^n`` state."""
-    axis = num_qubits - 1 - qubit
-    tensor = np.moveaxis(state.reshape((2,) * num_qubits), axis, 0)
-    out = np.empty_like(tensor)
-    out[0] = matrix[0, 0] * tensor[0] + matrix[0, 1] * tensor[1]
-    out[1] = matrix[1, 0] * tensor[0] + matrix[1, 1] * tensor[1]
-    return np.moveaxis(out, 0, axis).reshape(-1)
+def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply a 2x2 matrix to one qubit of a flat little-endian state.
+
+    Views the state as ``(higher bits, the qubit's bit, lower bits)``:
+    the two halves are strided views, so no axis is moved or copied, and
+    each output amplitude is the same pair of products as in the
+    tensor-axis form.
+    """
+    view = state.reshape(-1, 2, 1 << qubit)
+    lo, hi = view[:, 0], view[:, 1]
+    out = np.empty_like(view)
+    out[:, 0] = matrix[0, 0] * lo + matrix[0, 1] * hi
+    out[:, 1] = matrix[1, 0] * lo + matrix[1, 1] * hi
+    return out.reshape(-1)
 
 
 def _rx_matrix(theta: float) -> np.ndarray:
@@ -402,7 +412,7 @@ def qaoa_statevector(program, diagonal: Optional[CostDiagonal] = None) -> np.nda
         state = state * np.exp(-1j * gamma * phase)
         mixer = _rx_matrix(program.mixer_angle(level))
         for q in range(n):
-            state = _apply_single(state, mixer, q, n)
+            state = _apply_single(state, mixer, q)
     return state
 
 
@@ -598,9 +608,11 @@ def fastpath_plan(compiled) -> FastPathPlan:
     Any reordering the walk accepts therefore differs from the canonical
     level sequence only by transpositions of commuting gates — disjoint
     supports, or same-level diagonals — hence is unitary-equal.  The walk
-    must end in the recorded ``final_mapping`` with every logical qubit
-    measured; any other structure refuses the fast path and the caller
-    falls back to gate-by-gate simulation.
+    must end in the recorded ``final_mapping``, and the last measure that
+    writes ``c[final_mapping[q]]`` must have read logical qubit ``q`` (a
+    measure reads whichever qubit owns its wire at that point), so every
+    decoded bit is its own qubit's outcome.  Any other structure refuses
+    the fast path and the caller falls back to gate-by-gate simulation.
     """
     encoding = getattr(compiled, "encoding", "direct")
     if encoding != "direct":
@@ -640,19 +652,22 @@ def fastpath_plan(compiled) -> FastPathPlan:
         pending_cphase.append(cp)
         pending_rz.append(rz)
         touches.append(touch)
-    measured: set = set()
+    # c[p] <- the logical qubit the last measure of wire p read (None for
+    # an unmapped wire)
+    reads: Dict[int, Optional[int]] = {}
 
     for inst in compiled.circuit:
         name = inst.name
         if name == "barrier":
             continue
         if name == "measure":
-            q = owner.get(inst.qubits[0])
+            phys = inst.qubits[0]
+            q = owner.get(phys)
             if q is not None and level_of[q] != p_levels:
                 return FastPathPlan(
                     False, f"logical qubit {q} measured before its last mixer"
                 )
-            measured.add(inst.qubits[0])
+            reads[phys] = q
             continue
         if name == "swap":
             pa, pb = inst.qubits
@@ -749,11 +764,27 @@ def fastpath_plan(compiled) -> FastPathPlan:
     recorded = {int(q): int(p) for q, p in compiled.final_mapping.items()}
     if final != recorded:
         return FastPathPlan(False, "final mapping mismatch")
-    unmeasured = [q for q in range(n) if final[q] not in measured]
+    return _measure_binding(final, reads, "logical qubit")
+
+
+def _measure_binding(
+    final: Dict[int, int], reads: Dict[int, Optional[int]], label: str
+) -> FastPathPlan:
+    """Accept only when each register entry's final home was last
+    measured while it held that entry (``label`` names the entries in
+    the refusal, e.g. ``"logical qubit"``)."""
+    unmeasured = [q for q in sorted(final) if final[q] not in reads]
     if unmeasured:
-        return FastPathPlan(
-            False, f"logical qubit(s) {unmeasured} never measured"
-        )
+        return FastPathPlan(False, f"{label}(s) {unmeasured} never measured")
+    for q in sorted(final):
+        held = reads[final[q]]
+        if held != q:
+            source = "an unmapped wire" if held is None else f"{label} {held}"
+            return FastPathPlan(
+                False,
+                f"measure bound to the wrong qubit: c[{final[q]}] reads "
+                f"{source}, not {label} {q}",
+            )
     return FastPathPlan(True, None)
 
 
@@ -772,7 +803,8 @@ def parity_plan(compiled) -> FastPathPlan:
     ``RX`` requires its wire restored to a singleton mask no other wire
     shares, with that slot's pending terms drained.  The walk must end
     with all masks singleton, matching the recorded ``final_mapping``,
-    and every slot's home measured.  Any accepted circuit therefore
+    and every slot's home last measured while it carried that slot.  Any
+    accepted circuit therefore
     implements exactly ``prod_levels [mixer . exp(-i gamma D(y))]`` over
     the parity basis, which :func:`_evaluate_parity` evolves directly.
     """
@@ -823,7 +855,9 @@ def parity_plan(compiled) -> FastPathPlan:
                     touch[s] += count
         pending.append(terms)
         touches.append(touch)
-    measured: set = set()
+    # c[p] <- the parity slot the last measure of wire p read (None for
+    # an unmapped wire)
+    reads: Dict[int, Optional[int]] = {}
 
     for inst in compiled.circuit:
         name = inst.name
@@ -832,6 +866,7 @@ def parity_plan(compiled) -> FastPathPlan:
         if name == "measure":
             phys = inst.qubits[0]
             mask = masks.get(phys)
+            s = None
             if mask is not None:
                 if mask == 0 or mask & (mask - 1):
                     return FastPathPlan(
@@ -843,7 +878,7 @@ def parity_plan(compiled) -> FastPathPlan:
                         False,
                         f"parity slot {s} measured before its last mixer",
                     )
-            measured.add(phys)
+            reads[phys] = s
             continue
         if name == "swap":
             pa, pb = inst.qubits
@@ -957,12 +992,7 @@ def parity_plan(compiled) -> FastPathPlan:
     recorded = {int(s): int(p) for s, p in compiled.final_mapping.items()}
     if final != recorded:
         return FastPathPlan(False, "final mapping mismatch")
-    unmeasured = [s for s in range(K) if final[s] not in measured]
-    if unmeasured:
-        return FastPathPlan(
-            False, f"parity slot(s) {unmeasured} never measured"
-        )
-    return FastPathPlan(True, None)
+    return _measure_binding(final, reads, "parity slot")
 
 
 # ----------------------------------------------------------------------
@@ -1041,7 +1071,7 @@ def logical_trajectory(
             return
         flush()
         matrix = _PAULI_X if pauli == "x" else _PAULI_Y
-        state = _apply_single(state, matrix, q, n)
+        state = _apply_single(state, matrix, q)
 
     clocks = [0.0] * n_phys if track_time else None
 
@@ -1086,11 +1116,11 @@ def logical_trajectory(
             add_diag(0.5 * inst.params[0], diag.sign(owner[inst.qubits[0]]))
         elif name == "h":
             flush()
-            state = _apply_single(state, _HADAMARD, owner[inst.qubits[0]], n)
+            state = _apply_single(state, _HADAMARD, owner[inst.qubits[0]])
         elif name == "rx":
             flush()
             state = _apply_single(
-                state, _rx_matrix(inst.params[0]), owner[inst.qubits[0]], n
+                state, _rx_matrix(inst.params[0]), owner[inst.qubits[0]]
             )
         else:
             raise ValueError(
@@ -1149,6 +1179,47 @@ def _physical_index_map(
     return phys
 
 
+#: ``Generator.choice``'s tolerance on the sum of its probabilities.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _sample_support(
+    rng: np.random.Generator,
+    weights: np.ndarray,
+    positions: np.ndarray,
+    num_qubits: int,
+    size: int,
+) -> np.ndarray:
+    """Sample a distribution held sparsely in a ``2^num_qubits``
+    register, drawing exactly as ``Generator.choice`` draws over the
+    dense register.
+
+    ``weights`` sit at the increasing register indices ``positions``.
+    Returns ``size`` indices ``k`` into ``weights`` such that
+    ``positions[k]`` equals, draw for draw,
+    ``rng.choice(dense.size, size, p=dense / dense.sum())`` for the
+    dense vector holding ``weights``, and leaves the generator in the
+    same state.  ``choice`` takes ``cumsum(p)``, scales it by its last
+    entry and runs ``searchsorted(random(size), side="right")``.  A zero
+    entry adds exactly 0.0 to that sequential sum, so the compact cdf
+    holds the dense cdf's values at ``positions``, and a right-sided
+    search always lands on an increasing step, which both share.  The
+    normalising sum still runs over the dense register: numpy's pairwise
+    sum rounds differently on the compacted array.
+    """
+    dense = np.zeros(1 << num_qubits)
+    dense[positions] = weights
+    p = weights / dense.sum()
+    # choice's own checks: non-negative, finite, summing to 1
+    if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= _CHOICE_ATOL):
+        raise ValueError(
+            "probabilities must be non-negative, finite and sum to 1"
+        )
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 # ----------------------------------------------------------------------
 # parity-frame evaluation
 # ----------------------------------------------------------------------
@@ -1205,7 +1276,6 @@ def _evaluate_parity(
     else:
         plan = FastPathPlan(False, "fast path disabled by caller")
     fast = plan.ok
-    phys_map = _physical_index_map(mapping, K) if fast else None
 
     # -- ideal side ----------------------------------------------------
     tick = time.perf_counter()
@@ -1217,18 +1287,17 @@ def _evaluate_parity(
             state = state * np.exp(-1j * gamma * phase)
             mixer = _rx_matrix(program.mixer_angle(level))
             for s in range(K):
-                state = _apply_single(state, mixer, s, K)
+                state = _apply_single(state, mixer, s)
         probs_slots = np.abs(state) ** 2
         if mode == "exact":
             r0 = float(np.dot(probs_slots, slot_cut)) / max_cut
         else:
-            probs_phys = np.zeros(1 << n_phys)
-            probs_phys[phys_map] = probs_slots
-            probs_phys /= probs_phys.sum()
-            sampled = rng.choice(1 << n_phys, size=shots, p=probs_phys)
-            r0 = float(
-                slot_cut[decode_indices(sampled, mapping, K)].mean()
-            ) / max_cut
+            phys_map = _physical_index_map(mapping, K)
+            order = np.argsort(phys_map)
+            picks = _sample_support(
+                rng, probs_slots[order], phys_map[order], n_phys, shots
+            )
+            r0 = float(slot_cut[order[picks]].mean()) / max_cut
     else:
         from .statevector import StatevectorSimulator
 
@@ -1413,7 +1482,12 @@ def evaluate_fast(
     else:
         plan = FastPathPlan(False, "fast path disabled by caller")
     fast = plan.ok
-    phys_map = _physical_index_map(mapping, n) if fast else None
+    if fast and mode == "sampled":
+        # Logical basis states in the order of their physical indices —
+        # the order Generator.choice walks the physical register in.
+        phys_map = _physical_index_map(mapping, n)
+        order = np.argsort(phys_map)
+        positions = phys_map[order]
 
     # -- ideal side ----------------------------------------------------
     tick = time.perf_counter()
@@ -1422,11 +1496,10 @@ def evaluate_fast(
         if mode == "exact":
             r0 = float(np.dot(probs_logical, cut)) / max_cut
         else:
-            probs_phys = np.zeros(1 << n_phys)
-            probs_phys[phys_map] = probs_logical
-            probs_phys /= probs_phys.sum()
-            sampled = rng.choice(1 << n_phys, size=shots, p=probs_phys)
-            r0 = float(cut[decode_indices(sampled, mapping, n)].mean()) / max_cut
+            picks = _sample_support(
+                rng, probs_logical[order], positions, n_phys, shots
+            )
+            r0 = float(cut[order[picks]].mean()) / max_cut
     else:
         from .statevector import StatevectorSimulator
 
@@ -1485,24 +1558,28 @@ def evaluate_fast(
                     state, dirt_mask = logical_trajectory(
                         compiled, noise, rng, diag, durations
                     )
-                    probs_phys = np.zeros(1 << n_phys)
-                    probs_phys[phys_map | dirt_mask] = np.abs(state) ** 2
-                    probs_phys /= probs_phys.sum()
-                    traj_shots = base + (1 if t < extra else 0)
-                    if traj_shots == 0:
-                        continue
-                    chunks.append(
-                        rng.choice(1 << n_phys, size=traj_shots, p=probs_phys)
+                    # Dirt only sets bits of unmapped qubits, so it moves
+                    # every position alike and keeps their order.
+                    picks = _sample_support(
+                        rng,
+                        np.abs(state[order]) ** 2,
+                        positions | dirt_mask,
+                        n_phys,
+                        base + (1 if t < extra else 0),
                     )
-                indices = np.concatenate(chunks)
-                # Readout flips in NoisySimulator's exact draw order —
-                # unmapped qubits consume draws too, for stream parity.
-                for q in range(n_phys):
-                    p = noise.readout_flip.get(q, 0.0)
+                    chunks.append(order[picks])
+                logical = np.concatenate(chunks)
+                # Readout flips in NoisySimulator's exact draw order, in
+                # the logical frame: a flip on an unmapped qubit draws
+                # its randoms but reaches no decoded bit.
+                owner = {p: q for q, p in mapping.items()}
+                for phys in range(n_phys):
+                    p = noise.readout_flip.get(phys, 0.0)
                     if p <= 0.0:
                         continue
-                    flips = rng.random(len(indices)) < p
-                    indices[flips] ^= 1 << q
+                    flips = rng.random(len(logical)) < p
+                    if phys in owner:
+                        logical[flips] ^= 1 << owner[phys]
             else:
                 from .noise import NoisySimulator
 
@@ -1510,7 +1587,8 @@ def evaluate_fast(
                     noise, trajectories=trajectories, durations=durations
                 )
                 indices = nsim.sample_indices(compiled.circuit, shots, rng)
-            rh = float(cut[decode_indices(indices, mapping, n)].mean()) / max_cut
+                logical = decode_indices(indices, mapping, n)
+            rh = float(cut[logical].mean()) / max_cut
         if r0 == 0.0:
             raise ValueError("noiseless approximation ratio r0 is zero")
         arg = 100.0 * (r0 - rh) / r0

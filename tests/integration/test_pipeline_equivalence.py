@@ -7,6 +7,13 @@ that flow, re-implemented from the same primitives the old
 ``_compile_monolithic``/``_compile_incremental`` helpers used — placement
 functions, ``parallelize``/``build_qaoa_circuit``, the backend routers and
 the incremental compiler — consuming the rng in the exact same order.
+
+One deliberate difference: the monolithic flow routed the logical
+circuit *with* its measures, so the routers could SWAP a measured qubit
+off its wire.  The reference now routes the unitary part and measures
+every logical qubit at its final home, as the incremental flow always
+did; each test also pins the non-measure stream to the old flow's, gate
+for gate.
 """
 
 import numpy as np
@@ -50,8 +57,13 @@ def reference_compile(
     calibration=None,
     packing_limit=None,
     router="layered",
+    routed_measures=False,
 ):
-    """The pre-pipeline flow, from primitives, with identical rng order."""
+    """The pre-pipeline flow, from primitives, with identical rng order.
+
+    ``routed_measures=True`` reproduces the old monolithic flow exactly,
+    measures routed along with the gates; the default measures at the
+    final homes instead."""
     preset = METHOD_PRESETS[method]
     placement, ordering = preset.placement, preset.ordering
     pairs = program.pairs()
@@ -72,14 +84,21 @@ def reference_compile(
                 pairs, rng=rng, packing_limit=packing_limit
             )
             logical = build_qaoa_circuit(
-                program, edge_orders=[ip_result.ordered_pairs] * program.p
+                program,
+                edge_orders=[ip_result.ordered_pairs] * program.p,
+                measure=routed_measures,
             )
         else:
-            logical = build_qaoa_circuit(program, rng=rng)
+            logical = build_qaoa_circuit(
+                program, rng=rng, measure=routed_measures
+            )
         compiled = _make_router(router, coupling).compile(logical, mapping)
         circuit = compiled.circuit
         final = compiled.final_mapping
         swaps = compiled.swap_count
+        if not routed_measures:
+            for q in range(program.num_qubits):
+                circuit.measure(final[q])
     else:
         distance_matrix = None
         if ordering == "vic":
@@ -95,6 +114,21 @@ def reference_compile(
             program, mapping, compiler
         )
     return circuit, initial, final, swaps, warnings
+
+
+def _unitary_part(circuit):
+    return [inst for inst in circuit.instructions if inst.name != "measure"]
+
+
+def assert_matches_old_flow(compiled, program, coupling, method, seed, **knobs):
+    """Only the measures moved: the non-measure stream is the old
+    monolithic flow's, gate for gate."""
+    old = reference_compile(
+        program, coupling, method, np.random.default_rng(seed),
+        routed_measures=True, **knobs,
+    )
+    assert _unitary_part(compiled.circuit) == _unitary_part(old[0])
+    assert compiled.final_mapping == old[2]
 
 
 def _calibration_for(coupling, method):
@@ -140,6 +174,9 @@ def test_preset_matches_seed_flow(device, method, seed):
     assert compiled.final_mapping == final
     assert compiled.swap_count == swaps
     assert compiled.warnings == warnings
+    assert_matches_old_flow(
+        compiled, program, coupling, method, seed, calibration=calibration
+    )
 
 
 @pytest.mark.parametrize("method", ["naive", "ip", "ic"])
@@ -160,6 +197,9 @@ def test_preset_matches_seed_flow_sabre(method):
     assert compiled.initial_mapping == initial
     assert compiled.final_mapping == final
     assert compiled.swap_count == swaps
+    assert_matches_old_flow(
+        compiled, program, coupling, method, 3, router="sabre"
+    )
 
 
 @pytest.mark.parametrize("method", ["ip", "ic"])
@@ -180,3 +220,6 @@ def test_preset_matches_seed_flow_packing_limit(method):
     assert compiled.circuit.instructions == circuit.instructions
     assert compiled.final_mapping == final
     assert compiled.swap_count == swaps
+    assert_matches_old_flow(
+        compiled, program, coupling, method, 5, packing_limit=2
+    )

@@ -59,6 +59,19 @@ class TestExports:
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
 
+    def test_pyproject_reads_the_package_version(self):
+        """One version number: packaging takes ``repro.__version__``."""
+        import pathlib
+        import re
+
+        text = (
+            pathlib.Path(__file__).resolve().parents[2] / "pyproject.toml"
+        ).read_text()
+        assert 'dynamic = ["version"]' in text
+        assert 'version = { attr = "repro.__version__" }' in text
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        assert not re.search(r"^version\s*=", project, re.MULTILINE)
+
     def test_method_presets_cover_paper(self):
         from repro import METHOD_PRESETS
 

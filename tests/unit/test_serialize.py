@@ -123,6 +123,16 @@ class TestValidation:
         assert FORMAT_VERSION == _FORMAT_VERSION
         assert isinstance(FORMAT_VERSION, int)
 
+    def test_v4_artifact_still_loads(self, compiled_qaoa):
+        # v5 changed where measures sit, not the layout: a standalone v4
+        # artifact reads back as it was written.
+        payload = json.loads(to_json(compiled_qaoa))
+        payload["format_version"] = 4
+        restored = from_json(json.dumps(payload))
+        assert (
+            restored.circuit.instructions == compiled_qaoa.circuit.instructions
+        )
+
     def test_tampered_circuit_fails_validation(self, compiled_qaoa):
         payload = json.loads(to_json(compiled_qaoa))
         # Inject a coupling-violating gate into the QASM.

@@ -327,3 +327,49 @@ class TestCacheLookupCounts:
         report = run_batch([job, job], cache=cache, workers=workers)
         assert [r.cached for r in report.results] == [False, True]
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+
+
+class TestStaleFormatVersion:
+    def test_v4_envelope_is_a_miss_and_recompiles_at_v5(self, tmp_path):
+        """Entries cached before measures moved to the final homes carry
+        format version 4: the engine must recompile them, not serve
+        them, and the fresh result measures every qubit last."""
+        import json
+        import pathlib
+
+        directory = str(tmp_path / "cache")
+        jobs = _jobs(1, method="naive", device="ibmq_16_melbourne")
+        run_batch(
+            jobs,
+            cache=ResultCache(
+                directory=directory, expected_version=FORMAT_VERSION
+            ),
+        )
+        (entry,) = pathlib.Path(directory).glob("**/*.json")
+        envelope = json.loads(entry.read_text())
+        assert envelope["format_version"] == FORMAT_VERSION == 5
+        # Rewrite it as a version-4 entry whose measures come first, so
+        # serving it instead of recompiling would show.
+        lines = envelope["compiled"]["qasm"].splitlines()
+        measures = [line for line in lines if line.startswith("measure")]
+        rest = [line for line in lines if not line.startswith("measure")]
+        head = next(i for i, line in enumerate(rest) if line.startswith("creg"))
+        envelope["compiled"]["qasm"] = "\n".join(
+            rest[: head + 1] + measures + rest[head + 1:]
+        )
+        envelope["format_version"] = envelope["compiled"]["format_version"] = 4
+        entry.write_text(json.dumps(envelope))
+
+        cache = ResultCache(directory=directory, expected_version=FORMAT_VERSION)
+        report = BatchEngine(cache=cache).run(jobs)
+        result = report.results[0]
+        assert result.ok and not result.cached
+        assert json.loads(result.payload)["format_version"] == 5
+        compiled = result.compiled()
+        n = compiled.program.num_qubits
+        tail = compiled.circuit.instructions[-n:]
+        assert [inst.qubits[0] for inst in tail] == [
+            compiled.final_mapping[q] for q in range(n)
+        ]
+        assert all(inst.name == "measure" for inst in tail)
+        assert json.loads(entry.read_text())["format_version"] == 5
