@@ -17,7 +17,8 @@ Run:  python examples/compilation_analysis.py
 
 import numpy as np
 
-from repro import MaxCutProblem, compile_with_method, ibmq_20_tokyo
+from repro import MaxCutProblem, ibmq_20_tokyo
+from repro.compiler import compile_with_method
 from repro.compiler.analysis import analyze_compiled
 from repro.experiments.reporting import format_table
 from repro.qaoa import erdos_renyi_graph

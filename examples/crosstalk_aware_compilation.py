@@ -16,13 +16,8 @@ Run:  python examples/crosstalk_aware_compilation.py
 
 import numpy as np
 
-from repro import (
-    MaxCutProblem,
-    compile_with_method,
-    ibmq_20_tokyo,
-    sequentialize_crosstalk,
-)
-from repro.compiler import count_conflicts
+from repro import MaxCutProblem, ibmq_20_tokyo, sequentialize_crosstalk
+from repro.compiler import compile_with_method, count_conflicts
 from repro.experiments.reporting import format_table
 from repro.qaoa import random_regular_graph
 

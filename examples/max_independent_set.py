@@ -21,10 +21,10 @@ from scipy import optimize
 from repro import (
     StatevectorSimulator,
     build_qaoa_circuit,
-    compile_with_method,
     decode_physical_counts,
     ibmq_20_tokyo,
 )
+from repro.compiler import compile_with_method
 from repro.experiments.reporting import format_table
 from repro.qaoa import IsingProblem, erdos_renyi_graph
 

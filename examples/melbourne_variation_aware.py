@@ -20,12 +20,12 @@ from repro import (
     NoiseModel,
     NoisySimulator,
     StatevectorSimulator,
-    compile_with_method,
     evaluate_arg,
     ibmq_16_melbourne,
     melbourne_calibration,
     optimize_qaoa,
 )
+from repro.compiler import compile_with_method
 from repro.experiments.reporting import format_table
 from repro.qaoa import erdos_renyi_graph
 

@@ -13,7 +13,8 @@ import argparse
 
 import numpy as np
 
-from repro import MaxCutProblem, compile_qaoa, grid_device
+from repro import MaxCutProblem, grid_device
+from repro.compiler import compile_qaoa
 from repro.experiments.reporting import format_table
 from repro.qaoa import erdos_renyi_graph
 

@@ -17,7 +17,8 @@ Run:  python examples/parameter_transfer.py
 
 import numpy as np
 
-from repro import MaxCutProblem, compile_with_method, ibmq_20_tokyo
+from repro import MaxCutProblem, ibmq_20_tokyo
+from repro.compiler import compile_with_method
 from repro.experiments.reporting import format_table
 from repro.qaoa import (
     learn_parameters,

@@ -16,12 +16,12 @@ import numpy as np
 
 from repro import (
     MaxCutProblem,
-    compile_with_method,
     draw_circuit,
     ibmq_20_tokyo,
     optimize_qaoa,
     random_calibration,
 )
+from repro.compiler import compile_with_method
 from repro.experiments.reporting import format_table
 
 

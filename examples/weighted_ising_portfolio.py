@@ -21,11 +21,11 @@ import numpy as np
 from repro import (
     MaxCutProblem,
     StatevectorSimulator,
-    compile_with_method,
     decode_physical_counts,
     ibmq_16_melbourne,
     optimize_qaoa,
 )
+from repro.compiler import compile_with_method
 from repro.experiments.reporting import format_table
 from repro.sim.sampler import expectation_from_counts
 

@@ -26,18 +26,14 @@ Quickstart (the :mod:`repro.api` facade is the front door)::
     scores = repro.evaluate(result, shots=4096, seed=7)
     print(result.swap_count, scores.r0, scores.rh, scores.arg)
 
-The legacy top-level entry points (``repro.compile_qaoa``,
-``repro.compile_with_method``) still work but emit
-:class:`DeprecationWarning`; the silent originals live on under
-:mod:`repro.compiler`.
+The lower-level entry points (``compile_qaoa``, ``compile_with_method``)
+live under :mod:`repro.compiler`.
 """
 
 from .api import (
     CompileResult,
     EvalResult,
     compile,
-    compile_qaoa,
-    compile_with_method,
     evaluate,
 )
 from .circuits import (
@@ -118,7 +114,7 @@ from .sim import (
     evaluate_fast,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -158,9 +154,7 @@ __all__ = [
     "ConventionalBackend",
     "CompiledCircuit",
     "CompiledQAOA",
-    "compile_qaoa",
     "compile_spec",
-    "compile_with_method",
     "METHOD_PRESETS",
     "PassContext",
     "PassRecord",

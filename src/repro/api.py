@@ -2,8 +2,8 @@
 
 The compilation stack grew several overlapping entry points
 (``compile_qaoa``, ``compile_with_method``, ``compile_spec``,
-tuple-unpackable ``METHOD_PRESETS``, ``execute_job``).  This module is
-the one coherent surface new code should use:
+``execute_job``).  This module is the one coherent surface new code
+should use:
 
 * :func:`compile` — problem + target + method name in, typed
   :class:`CompileResult` out;
@@ -12,8 +12,8 @@ the one coherent surface new code should use:
   :mod:`repro.sim.fastpath` engine whenever the circuit proves
   ARG-equivalent and falling back to gate-by-gate simulation otherwise.
 
-Both are re-exported from :mod:`repro`; the legacy top-level names
-remain importable as :class:`DeprecationWarning`-emitting shims.
+Both are re-exported from :mod:`repro`; the lower-level entry points
+stay in :mod:`repro.compiler`.
 
 Quickstart::
 
@@ -32,7 +32,6 @@ Quickstart::
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +39,6 @@ import numpy as np
 from .compiler.flow import METHOD_PRESETS
 from .compiler.pipeline import PipelineSpec
 from .compiler.registry import unknown_method_error
-from .compiler.flow import compile_qaoa as _compile_qaoa_impl
 from .compiler.flow import compile_with_method as _compile_with_method_impl
 from .compiler.metrics import success_probability as _success_probability
 from .hardware import get_device
@@ -57,8 +55,6 @@ __all__ = [
     "EvalResult",
     "compile",
     "evaluate",
-    "compile_qaoa",
-    "compile_with_method",
 ]
 
 #: Default p=1 angles — the harness's fixed paper-style parameters
@@ -375,33 +371,3 @@ def evaluate(
         success_probability=success,
         timings=outcome.timings,
     )
-
-
-# ----------------------------------------------------------------------
-# deprecated top-level shims
-# ----------------------------------------------------------------------
-def compile_qaoa(*args, **kwargs):
-    """Deprecated top-level alias for
-    :func:`repro.compiler.flow.compile_qaoa`; use :func:`repro.api.compile`."""
-    warnings.warn(
-        "repro.compile_qaoa is deprecated; use repro.compile(problem, "
-        "target=..., method=...) (repro.api facade), or import "
-        "repro.compiler.compile_qaoa explicitly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _compile_qaoa_impl(*args, **kwargs)
-
-
-def compile_with_method(*args, **kwargs):
-    """Deprecated top-level alias for
-    :func:`repro.compiler.flow.compile_with_method`; use
-    :func:`repro.api.compile`."""
-    warnings.warn(
-        "repro.compile_with_method is deprecated; use repro.compile("
-        "problem, target=..., method=...) (repro.api facade), or import "
-        "repro.compiler.compile_with_method explicitly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _compile_with_method_impl(*args, **kwargs)

@@ -10,7 +10,6 @@ Subcommands::
     python -m repro arg --nodes 10 --shots 4096  # ARG across methods
     python -m repro evaluate --nodes 10 --cache-dir .cache  # fast-path ARG
     python -m repro batch jobs.jsonl -o out.jsonl --workers 4  # batch service
-    python -m repro fleet --synthetic 200        # SLO-aware fleet scheduling
     python -m repro chaos --nodes 8 --seed 0     # calibration-fault sweep
     python -m repro cache stats --dir .cache     # disk-cache maintenance
 
@@ -276,110 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--seed", type=int, default=0, help="retry-jitter seed")
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="place a job stream across a multi-device fleet under SLOs",
-    )
-    fleet.add_argument(
-        "jobs",
-        nargs="?",
-        default=None,
-        help="fleet JSONL job file (- for stdin); omit with --synthetic",
-    )
-    fleet.add_argument(
-        "--synthetic",
-        type=int,
-        default=None,
-        metavar="N",
-        help="generate a seeded N-job mixed compile/eval stream with "
-        "tiered SLOs instead of reading a job file",
-    )
-    fleet.add_argument(
-        "--nodes",
-        type=int,
-        default=8,
-        help="problem size for --synthetic streams",
-    )
-    fleet.add_argument(
-        "--fleet",
-        default=None,
-        metavar="SPEC.json",
-        help="JSON fleet spec; default: the built-in 7-slot paper fleet "
-        "(tokyo, melbourne, grid-36, ring-12, linear-16 + degraded "
-        "variants)",
-    )
-    fleet.add_argument(
-        "--policy",
-        default="all",
-        help="placement policy: greedy, best-fidelity, least-loaded, or "
-        "'all' to score every policy on the same stream",
-    )
-    fleet.add_argument(
-        "--queue-depth",
-        type=int,
-        default=256,
-        help="fleet-wide admission bound on pending jobs",
-    )
-    fleet.add_argument(
-        "--device-backlog",
-        type=int,
-        default=32,
-        help="per-device pending-job saturation limit",
-    )
-    fleet.add_argument(
-        "--interarrival-ms",
-        type=float,
-        default=0.0,
-        help="virtual gap between job arrivals (0 = burst arrival)",
-    )
-    fleet.add_argument(
-        "--cache-dir",
-        default=None,
-        help="disk-tier result cache root (one subdirectory per policy)",
-    )
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="crash-safe scheduler journal (append-only JSONL, fsynced); "
-        "requires a single --policy",
-    )
-    fleet.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay settled jobs from --journal and serve only the "
-        "remainder (exact continuation of an interrupted run)",
-    )
-    fleet.add_argument(
-        "--no-resilience",
-        action="store_true",
-        help="disable the recovery layer: permanent ineligibility after "
-        "repeated failures, no migration, no degraded recompile",
-    )
-    fleet.add_argument(
-        "--breaker-cooldown-ms",
-        type=float,
-        default=2000.0,
-        help="virtual-clock cooldown before a tripped device half-opens "
-        "for a recovery probe",
-    )
-    fleet.add_argument(
-        "--max-migrations",
-        type=int,
-        default=2,
-        help="re-placements allowed after a terminal device failure",
-    )
-    fleet.add_argument(
-        "-o", "--out", default=None,
-        help="write JSONL placement/rejection records here",
-    )
-    fleet.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full report(s) as a JSON document",
-    )
-
     chaos = sub.add_parser(
         "chaos",
         help="calibration-fault chaos sweep across methods and devices",
@@ -403,19 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--nodes", type=int, default=8)
     chaos.add_argument("--edge-prob", type=float, default=0.5)
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
-        "--fleet",
-        action="store_true",
-        help="run the scripted *fleet* chaos suite instead (device death, "
-        "latency spikes, flapping calibration) comparing the resilience "
-        "layer against a breaker-less baseline",
-    )
-    chaos.add_argument(
-        "--jobs",
-        type=int,
-        default=90,
-        help="stream length for --fleet scenarios",
-    )
     chaos.add_argument(
         "--json",
         action="store_true",
@@ -1033,179 +915,9 @@ def _cmd_batch(args, out) -> int:
     return 0 if not report.failed else 1
 
 
-def _cmd_fleet(args, out) -> int:
-    import json
-
-    from .experiments.reporting import format_table
-    from .fleet import (
-        POLICIES,
-        Scheduler,
-        default_fleet,
-        fleet_jobs_from_jsonl,
-        load_fleet_json,
-        synthetic_stream,
-    )
-
-    if args.synthetic is not None and args.jobs is not None:
-        print("error: pass a job file or --synthetic, not both", file=sys.stderr)
-        return 2
-    if args.synthetic is None and args.jobs is None:
-        print("error: need a job file or --synthetic N", file=sys.stderr)
-        return 2
-    try:
-        if args.synthetic is not None:
-            jobs = synthetic_stream(
-                args.synthetic, seed=args.seed, nodes=args.nodes
-            )
-        else:
-            if args.jobs == "-":
-                lines = sys.stdin.readlines()
-            else:
-                with open(args.jobs) as fh:
-                    lines = fh.readlines()
-            jobs = fleet_jobs_from_jsonl(lines)
-        fleet = (
-            load_fleet_json(args.fleet)
-            if args.fleet
-            else default_fleet(seed=args.seed)
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not jobs:
-        print("error: job stream is empty", file=sys.stderr)
-        return 2
-
-    policies = (
-        sorted(POLICIES) if args.policy == "all" else [args.policy]
-    )
-    unknown = [p for p in policies if p not in POLICIES]
-    if unknown:
-        print(
-            f"error: unknown policy {unknown[0]!r}; known: "
-            f"{', '.join(sorted(POLICIES))} (or 'all')",
-            file=sys.stderr,
-        )
-        return 2
-    if args.journal and len(policies) > 1:
-        # One journal records one run; a policy comparison would
-        # overwrite it three times and resume against the wrong stream.
-        print(
-            "error: --journal needs a single --policy (not 'all')",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and not args.journal:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
-
-    if args.no_resilience:
-        recovery = dict(
-            breaker_cooldown_ms=None, max_migrations=0, degrade_ladder=()
-        )
-    else:
-        recovery = dict(
-            breaker_cooldown_ms=args.breaker_cooldown_ms,
-            max_migrations=args.max_migrations,
-        )
-
-    reports = []
-    for policy in policies:
-        cache = None
-        if args.cache_dir:
-            from .compiler.serialize import FORMAT_VERSION
-            from .service import ResultCache
-
-            # One cache per policy: shared warm entries would let the
-            # second policy run on near-zero latencies and skew the race.
-            cache = ResultCache(
-                directory=f"{args.cache_dir}/{policy}",
-                expected_version=FORMAT_VERSION,
-            )
-        scheduler = Scheduler(
-            fleet,
-            policy,
-            queue_depth=args.queue_depth,
-            device_backlog_limit=args.device_backlog,
-            interarrival_ms=args.interarrival_ms,
-            cache=cache,
-            seed=args.seed,
-            journal=args.journal,
-            **recovery,
-        )
-        try:
-            reports.append(scheduler.run(jobs, resume=args.resume))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.json:
-        print(
-            json.dumps({r.policy: r.to_dict() for r in reports}, indent=2),
-            file=out,
-        )
-    else:
-        for report in reports:
-            print(report.render(), file=out)
-            print(file=out)
-        if len(reports) > 1:
-            rows = [
-                [
-                    s["policy"],
-                    f"{s['attained']}/{s['constrained']}",
-                    f"{100 * s['attainment_rate']:.1f}%",
-                    s["rejected"],
-                    f"{s['p95_observed_ms']:.1f}",
-                    f"{s['p95_promised_ms']:.1f}",
-                    f"{s['makespan_ms']:.1f}",
-                ]
-                for s in (r.summary() for r in reports)
-            ]
-            print("policy comparison (same stream, same fleet):", file=out)
-            print(
-                format_table(
-                    [
-                        "policy", "SLO", "attainment", "rejected",
-                        "p95 obs ms", "p95 promised ms", "makespan ms",
-                    ],
-                    rows,
-                ),
-                file=out,
-            )
-    if args.out:
-        with open(args.out, "w") as fh:
-            for report in reports:
-                for record in report.records:
-                    fh.write(
-                        json.dumps({"policy": report.policy, **record.to_dict()})
-                        + "\n"
-                    )
-                for rejection in report.rejections:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "policy": report.policy,
-                                "rejected": True,
-                                **rejection.to_dict(),
-                            }
-                        )
-                        + "\n"
-                    )
-        print(f"records written to {args.out}", file=out)
-    failed = sum(s["failed"] for s in (r.summary() for r in reports))
-    if any(r.placed == 0 for r in reports):
-        # Admission refused the whole stream (e.g. an empty or fully
-        # ineligible fleet) — the reports explain why, but a run that
-        # served nothing is not a success.
-        return 1
-    return 0 if failed == 0 else 1
-
-
 def _cmd_chaos(args, out) -> int:
     from .experiments.chaos import default_scenarios, run_chaos
 
-    if args.fleet:
-        return _cmd_chaos_fleet(args, out)
     scenarios = default_scenarios()
     if args.scenarios:
         wanted = [name.strip() for name in args.scenarios.split(",") if name.strip()]
@@ -1256,62 +968,6 @@ def _cmd_chaos(args, out) -> int:
         print(report.render(), file=out)
     bad = report.contract_violations()
     return 0 if not bad else 1
-
-
-def _cmd_chaos_fleet(args, out) -> int:
-    from .experiments.chaos import (
-        default_fleet_scenarios,
-        render_fleet_chaos,
-        run_fleet_chaos_suite,
-    )
-
-    scenarios = default_fleet_scenarios(args.jobs)
-    if args.scenarios:
-        wanted = [
-            name.strip() for name in args.scenarios.split(",") if name.strip()
-        ]
-        known = {s.name: s for s in scenarios}
-        unknown = [name for name in wanted if name not in known]
-        if unknown:
-            print(
-                f"error: unknown fleet scenario(s) {', '.join(unknown)}; "
-                f"known: {', '.join(known)}",
-                file=sys.stderr,
-            )
-            return 2
-        scenarios = [known[name] for name in wanted]
-    comparisons = run_fleet_chaos_suite(
-        scenarios, jobs=args.jobs, seed=args.seed
-    )
-    if args.json:
-        document = {
-            comp.scenario.name: {
-                "description": comp.scenario.description,
-                "baseline": comp.baseline.summary(),
-                "resilient": comp.resilient.summary(),
-                "margin": comp.margin,
-            }
-            for comp in comparisons
-        }
-        print(json.dumps(document, indent=2), file=out)
-    else:
-        print(render_fleet_chaos(comparisons), file=out)
-    # The resilience layer must never make a faulted fleet *worse* off
-    # in served jobs; a regression here fails the run.
-    worse = [
-        comp.scenario.name
-        for comp in comparisons
-        if comp.resilient.summary()["failed"]
-        > comp.baseline.summary()["failed"]
-    ]
-    if worse:
-        print(
-            "resilience regression (more failed jobs than baseline): "
-            + ", ".join(worse),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _cmd_cache(args, out) -> int:
@@ -1419,8 +1075,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return _cmd_optimize(args, out)
     if args.command == "batch":
         return _cmd_batch(args, out)
-    if args.command == "fleet":
-        return _cmd_fleet(args, out)
     if args.command == "chaos":
         return _cmd_chaos(args, out)
     if args.command == "cache":

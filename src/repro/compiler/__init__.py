@@ -1,6 +1,5 @@
 """Compilation: placements, orderings, backend, flows, metrics."""
 
-from .advanced_placement import reverse_traversal_placement, vqa_placement
 from .analysis import CompilationAnalysis, analyze_compiled
 from .backend import CompiledCircuit, ConventionalBackend
 from .crosstalk import count_conflicts, sequentialize_crosstalk
@@ -79,8 +78,6 @@ __all__ = [
     "random_placement",
     "greedy_v_placement",
     "greedy_e_placement",
-    "reverse_traversal_placement",
-    "vqa_placement",
     "qaim_placement",
     "QAIMConfig",
     "parallelize",

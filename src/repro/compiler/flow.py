@@ -79,13 +79,10 @@ ORDERINGS = ("random", "ip", "ic", "vic", "swap_network", "parity")
 
 ROUTERS = ("layered", "sabre")
 
-#: Named methodologies as declarative pipeline specs.  Since the
-#: registry redesign this is a live *view* over
-#: :mod:`repro.compiler.registry` — reads behave like the old dict
-#: (each entry still unpacks as ``(placement, ordering)`` for
-#: pre-pipeline callers), direct mutation warns and forwards to
+#: Named methodologies as declarative pipeline specs: a live, read-only
+#: view over :mod:`repro.compiler.registry`.  Register new methods with
 #: :func:`~repro.compiler.registry.register_method`.
-METHOD_PRESETS: Dict[str, PipelineSpec] = method_presets_view()
+METHOD_PRESETS = method_presets_view()
 
 
 @dataclasses.dataclass

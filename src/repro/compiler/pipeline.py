@@ -35,7 +35,6 @@ import dataclasses
 import hashlib
 import json
 import time
-import warnings as _warnings
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -214,9 +213,6 @@ class PipelineSpec:
     :data:`repro.compiler.flow.METHOD_PRESETS`); arbitrary combinations —
     e.g. ``greedy_e`` placement with ``vic`` ordering, or a SABRE-routed
     ``ip`` — are expressed the same way.
-
-    Iterating a spec yields ``(placement, ordering)``, preserving the
-    pre-pipeline tuple form of ``METHOD_PRESETS`` for existing callers.
     """
 
     placement: str = "qaim"
@@ -226,16 +222,6 @@ class PipelineSpec:
     packing_limit: Optional[int] = None
     lower: bool = False
     constraint_strength: float = 2.0
-
-    def __iter__(self):
-        _warnings.warn(
-            "tuple-unpacking a PipelineSpec is deprecated; read "
-            "spec.placement / spec.ordering, or compile through the "
-            "repro.api facade",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return iter((self.placement, self.ordering))
 
     @property
     def method(self) -> str:

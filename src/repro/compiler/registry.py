@@ -7,7 +7,7 @@ add flows.  This module replaces that with a small explicit API:
 * :func:`register_method` — publish a named
   :class:`~repro.compiler.pipeline.PipelineSpec` so it resolves
   everywhere a method name is accepted (``repro.compile``, the service
-  job parser, fleet admission, the CLI ``--method`` choices);
+  job parser, the CLI ``--method`` choices);
 * :func:`available_methods` — the sorted names currently registered;
 * :func:`get_method` — name → spec, raising the one canonical
   unknown-method error every entry point reports;
@@ -16,16 +16,15 @@ add flows.  This module replaces that with a small explicit API:
 The paper's seven methodologies and the two structural methods
 (``swap_network``, ``parity``) are registered here at import time, so
 the registry is never empty.  ``METHOD_PRESETS`` remains importable as a
-mutable mapping *view* over this registry: reads are silent (internal
-code iterates it constantly), while direct mutation emits a
-``DeprecationWarning`` pointing at :func:`register_method`.
+read-only mapping *view* over this registry: it tracks every
+registration, and writes raise ``TypeError`` — they go through
+:func:`register_method` and :func:`unregister_method`.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import MutableMapping
-from typing import Dict, Iterator, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from .pipeline import PipelineSpec
 
@@ -48,7 +47,7 @@ def register_method(
 
     Registered names resolve everywhere a method is accepted: the
     :func:`repro.compile` facade, ``compile_with_method``, service job
-    parsing, fleet admission, and the CLI ``--method`` choices.
+    parsing, and the CLI ``--method`` choices.
 
     Args:
         name: Method name (non-empty, no whitespace — it doubles as a
@@ -108,50 +107,11 @@ def get_method(name: str) -> PipelineSpec:
         raise unknown_method_error(name) from None
 
 
-class _MethodPresetsView(MutableMapping):
-    """Backwards-compatible mapping view over the registry.
-
-    Reads behave exactly like the old ``METHOD_PRESETS`` dict.  Writes
-    still work — existing callers keep functioning — but emit a
-    ``DeprecationWarning`` steering them to :func:`register_method`.
-    """
-
-    def __getitem__(self, name: str) -> PipelineSpec:
-        return _REGISTRY[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __setitem__(self, name: str, spec: PipelineSpec) -> None:
-        warnings.warn(
-            "mutating METHOD_PRESETS directly is deprecated; use "
-            "repro.compiler.register_method(name, spec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        register_method(name, spec, overwrite=True)
-
-    def __delitem__(self, name: str) -> None:
-        warnings.warn(
-            "mutating METHOD_PRESETS directly is deprecated; use "
-            "repro.compiler.unregister_method(name)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        unregister_method(name)
-
-    def __repr__(self) -> str:
-        return f"MethodPresets({dict(_REGISTRY)!r})"
+_VIEW: Mapping[str, PipelineSpec] = MappingProxyType(_REGISTRY)
 
 
-_VIEW = _MethodPresetsView()
-
-
-def method_presets_view() -> _MethodPresetsView:
-    """The shared ``METHOD_PRESETS`` view instance."""
+def method_presets_view() -> Mapping[str, PipelineSpec]:
+    """The shared read-only ``METHOD_PRESETS`` view of the registry."""
     return _VIEW
 
 

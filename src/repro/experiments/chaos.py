@@ -56,17 +56,6 @@ __all__ = [
     "run_chaos",
     "DEFAULT_METHODS",
     "DEFAULT_DEVICES",
-    "DeviceProfile",
-    "FleetScenario",
-    "FleetChaosComparison",
-    "ScriptedFleetExecutor",
-    "chaos_fleet",
-    "chaos_profiles",
-    "chaos_stream",
-    "default_fleet_scenarios",
-    "run_fleet_chaos",
-    "run_fleet_chaos_suite",
-    "render_fleet_chaos",
 ]
 
 DEFAULT_METHODS = ("qaim", "ip", "ic", "vic")
@@ -436,397 +425,3 @@ def _run_cell(
     except Exception as exc:  # noqa: BLE001 — the audit reports, never dies
         outcome.error = f"{type(exc).__name__}: {exc}"
     return outcome
-
-
-# ======================================================================
-# fleet chaos: scripted device faults against the scheduler
-# ======================================================================
-#
-# The calibration sweep above stresses *compilation* under degraded
-# hardware; this half stresses the *fleet scheduler* under degraded
-# operations — a device that dies mid-stream, a latency spike window, a
-# calibration that flaps between healthy and broken.  Faults are scripted
-# per (device, job-index) in a deterministic executor that stamps a
-# ``virtual_exec_ms`` metric into every result, so the scheduler's
-# virtual clock — and therefore admissions, breaker transitions,
-# migrations and SLO attainment — are exactly reproducible, which is
-# also what makes journal-resume equality checks exact.
-
-
-@dataclasses.dataclass(frozen=True)
-class DeviceProfile:
-    """Scripted service behaviour of one fleet slot.
-
-    Execution times are virtual milliseconds per job kind, scaled by the
-    method's :data:`~repro.fleet.latency.METHOD_COST_FACTORS` entry —
-    cheaper presets really run faster in the scripted world, which is
-    what gives the SLO-aware degraded recompile something true to learn.
-    """
-
-    compile_ms: float
-    eval_ms: float
-    arg: float
-    success_probability: float
-
-
-@dataclasses.dataclass(frozen=True)
-class FleetScenario:
-    """One scripted fleet fault pattern over a job stream.
-
-    Attributes:
-        name: Scenario id (reports key on it).
-        description: What the fault models.
-        dies_at: ``{label: index}`` — the device fails every job whose
-            stream index is >= the given index (mid-stream death).
-        spikes: ``{label: (start, end, factor)}`` — execution time is
-            multiplied by ``factor`` for jobs in ``[start, end)``.
-        flaps: ``{label: (start, period)}`` — from ``start`` on, the
-            device alternates ``period``-job windows of failing and
-            healthy behaviour (flapping calibration).
-    """
-
-    name: str
-    description: str = ""
-    dies_at: Dict[str, int] = dataclasses.field(default_factory=dict)
-    spikes: Dict[str, Tuple[int, int, float]] = dataclasses.field(
-        default_factory=dict
-    )
-    flaps: Dict[str, Tuple[int, int]] = dataclasses.field(
-        default_factory=dict
-    )
-
-    def fails(self, label: str, index: int) -> bool:
-        """Whether the scripted device fails job ``index``."""
-        died = self.dies_at.get(label)
-        if died is not None and index >= died:
-            return True
-        flap = self.flaps.get(label)
-        if flap is not None:
-            start, period = flap
-            if index >= start and ((index - start) // period) % 2 == 0:
-                return True
-        return False
-
-    def latency_factor(self, label: str, index: int) -> float:
-        spike = self.spikes.get(label)
-        if spike is not None:
-            start, end, factor = spike
-            if start <= index < end:
-                return factor
-        return 1.0
-
-
-def chaos_fleet() -> "FleetSpec":
-    """The 4-slot fleet the scripted scenarios run against.
-
-    Topologies are pairwise distinct (the executor identifies the bound
-    slot by its interned coupling) and all small enough for eval
-    placement; calibrations are seeded so fidelity estimates exist and
-    success-probability SLOs are admissible.
-    """
-    from ..fleet import DeviceSlot, FleetSpec
-
-    return FleetSpec(
-        [
-            DeviceSlot("alpha", "ring_8", calibration={"seed": 31}),
-            DeviceSlot("beta", "linear_8", calibration={"seed": 37}),
-            DeviceSlot("gamma", "grid_3x3", calibration={"seed": 41}),
-            DeviceSlot("delta", "ring_12", calibration={"seed": 43}),
-        ]
-    )
-
-
-def chaos_profiles() -> Dict[str, DeviceProfile]:
-    """Scripted profiles: ``alpha`` is the fast, high-quality slot the
-    load balancer concentrates traffic on — which is exactly why the
-    scenarios kill it."""
-    return {
-        "alpha": DeviceProfile(
-            compile_ms=24.0, eval_ms=80.0,
-            arg=3.0, success_probability=2e-2,
-        ),
-        "beta": DeviceProfile(
-            compile_ms=40.0, eval_ms=140.0,
-            arg=5.0, success_probability=8e-3,
-        ),
-        "gamma": DeviceProfile(
-            compile_ms=55.0, eval_ms=190.0,
-            arg=6.5, success_probability=4e-3,
-        ),
-        "delta": DeviceProfile(
-            compile_ms=80.0, eval_ms=245.0,
-            arg=7.5, success_probability=1.5e-3,
-        ),
-    }
-
-
-#: Chaos streams are constrained-heavy (vs the service default mix) so
-#: that jobs lost to a fault are *visible* in SLO attainment, with a
-#: best-effort remainder left to volunteer for breaker recovery probes.
-CHAOS_TIER_WEIGHTS = (
-    ("gold", 0.3),
-    ("silver", 0.4),
-    ("bronze", 0.2),
-    ("best-effort", 0.1),
-)
-
-
-def chaos_stream(jobs: int = 90, seed: int = 5) -> list:
-    """The deterministic tiered job stream the scenarios serve."""
-    from ..fleet import synthetic_stream
-
-    return synthetic_stream(
-        jobs, seed=seed, nodes=8, eval_fraction=0.4,
-        shots=128, trajectories=4, tier_weights=CHAOS_TIER_WEIGHTS,
-    )
-
-
-def default_fleet_scenarios(jobs: int = 90) -> List[FleetScenario]:
-    """The standard fleet fault ladder for a ``jobs``-long stream."""
-    return [
-        FleetScenario(
-            name="device-death",
-            description=(
-                "the fastest device dies for good at job ~N/3; its "
-                "traffic must migrate or be lost"
-            ),
-            dies_at={"alpha": max(1, jobs // 3)},
-        ),
-        FleetScenario(
-            name="latency-spike",
-            description=(
-                "a noisy-neighbour window multiplies the fast device's "
-                "service time 12x for the middle third of the stream"
-            ),
-            spikes={"alpha": (max(1, jobs // 3), max(2, 2 * jobs // 3), 12.0)},
-        ),
-        FleetScenario(
-            name="flapping-calibration",
-            description=(
-                "a mid-tier device alternates broken and healthy windows "
-                "— permanent ineligibility overreacts, breakers recover"
-            ),
-            flaps={"beta": (max(1, jobs // 5), max(3, jobs // 10))},
-        ),
-    ]
-
-
-class ScriptedFleetExecutor:
-    """Deterministic fleet job executor driven by a :class:`FleetScenario`.
-
-    Resolves which slot a bound job landed on via the identity of its
-    interned coupling (placement binds the slot target's coupling into
-    the job), and which stream position it holds via its ``job_id`` —
-    *not* via call count, which would diverge between an interrupted run
-    and its resumed continuation.  Every result carries
-    ``virtual_exec_ms`` so the scheduler's clock advances identically
-    on every run.
-    """
-
-    def __init__(
-        self,
-        fleet,
-        stream: Sequence,
-        scenario: FleetScenario,
-        profiles: Optional[Dict[str, DeviceProfile]] = None,
-    ) -> None:
-        from ..fleet.latency import METHOD_COST_FACTORS
-
-        self.scenario = scenario
-        self.profiles = dict(profiles or chaos_profiles())
-        self._method_factors = dict(METHOD_COST_FACTORS)
-        self._label_by_coupling = {
-            id(fleet.target(slot.label).coupling): slot.label
-            for slot in fleet
-        }
-        if len(self._label_by_coupling) < len(fleet):
-            raise ValueError(
-                "scripted fleet scenarios need pairwise-distinct slot "
-                "targets (two slots interned to the same coupling)"
-            )
-        self._index_by_job_id = {
-            job.job_id: index for index, job in enumerate(stream)
-        }
-        for slot in fleet:
-            if slot.label not in self.profiles:
-                raise ValueError(f"no scripted profile for slot {slot.label!r}")
-
-    def __call__(self, job):
-        from ..service.job import JobResult, encode_envelope
-
-        label = self._label_by_coupling.get(id(job.device))
-        if label is None:
-            raise ValueError("job bound to a device outside the scripted fleet")
-        index = self._index_by_job_id.get(job.job_id, 0)
-        profile = self.profiles[label]
-        is_eval = hasattr(job, "compile_job")
-        base_ms = profile.eval_ms if is_eval else profile.compile_ms
-        method = getattr(job, "method", None)
-        exec_ms = (
-            base_ms
-            * self._method_factors.get(method, 1.0)
-            * self.scenario.latency_factor(label, index)
-        )
-        key = job.content_hash()
-        if self.scenario.fails(label, index):
-            return JobResult(
-                job=job,
-                key=key,
-                ok=False,
-                error=(
-                    f"scripted fault: {self.scenario.name} on {label} "
-                    f"at job {index}"
-                ),
-                error_kind="exception",
-                metrics={"virtual_exec_ms": exec_ms},
-            )
-        metrics = {
-            "virtual_exec_ms": exec_ms,
-            "success_probability": profile.success_probability,
-        }
-        if is_eval:
-            metrics["arg"] = profile.arg
-        return JobResult(
-            job=job,
-            key=key,
-            ok=True,
-            metrics=metrics,
-            payload=encode_envelope("null", dict(metrics)),
-        )
-
-
-def run_fleet_chaos(
-    scenario: FleetScenario,
-    *,
-    jobs: int = 90,
-    policy: str = "least-loaded",
-    seed: int = 5,
-    interarrival_ms: float = 20.0,
-    resilient: bool = True,
-    breaker_cooldown_ms: float = 150.0,
-    max_migrations: int = 2,
-    journal=None,
-    resume: bool = False,
-    fleet=None,
-    stream=None,
-    execute_fn=None,
-):
-    """One scripted fleet run under ``scenario``.
-
-    ``resilient=False`` reproduces the pre-resilience scheduler exactly
-    — breakers never half-open (permanent ineligibility), no migration,
-    no degraded recompile — which is the baseline the resilience margin
-    is measured against.
-    """
-    from ..fleet import Scheduler
-
-    fleet = fleet if fleet is not None else chaos_fleet()
-    stream = stream if stream is not None else chaos_stream(jobs, seed)
-    executor = execute_fn or ScriptedFleetExecutor(fleet, stream, scenario)
-    if resilient:
-        recovery = dict(
-            breaker_cooldown_ms=breaker_cooldown_ms,
-            max_migrations=max_migrations,
-        )
-    else:
-        recovery = dict(
-            breaker_cooldown_ms=None, max_migrations=0, degrade_ladder=(),
-        )
-    scheduler = Scheduler(
-        fleet,
-        policy,
-        interarrival_ms=interarrival_ms,
-        execute_fn=executor,
-        journal=journal,
-        **recovery,
-    )
-    return scheduler.run(stream, resume=resume)
-
-
-@dataclasses.dataclass
-class FleetChaosComparison:
-    """Resilience-on vs pre-resilience baseline under one scenario."""
-
-    scenario: FleetScenario
-    baseline: object  # FleetReport
-    resilient: object  # FleetReport
-
-    @property
-    def margin(self) -> float:
-        """Attainment gained by the resilience layer (may be ~0 for
-        scenarios the baseline already survives)."""
-        return (
-            self.resilient.attainment_rate()
-            - self.baseline.attainment_rate()
-        )
-
-
-def run_fleet_chaos_suite(
-    scenarios: Optional[Sequence[FleetScenario]] = None,
-    *,
-    jobs: int = 90,
-    policy: str = "least-loaded",
-    seed: int = 5,
-    interarrival_ms: float = 20.0,
-) -> List[FleetChaosComparison]:
-    """Run every scenario twice — baseline and resilient — on the same
-    stream, fleet, and clock."""
-    scenarios = (
-        list(scenarios) if scenarios is not None
-        else default_fleet_scenarios(jobs)
-    )
-    out = []
-    for scenario in scenarios:
-        kwargs = dict(
-            jobs=jobs, policy=policy, seed=seed,
-            interarrival_ms=interarrival_ms,
-        )
-        out.append(
-            FleetChaosComparison(
-                scenario=scenario,
-                baseline=run_fleet_chaos(
-                    scenario, resilient=False, **kwargs
-                ),
-                resilient=run_fleet_chaos(
-                    scenario, resilient=True, **kwargs
-                ),
-            )
-        )
-    return out
-
-
-def render_fleet_chaos(comparisons: Sequence[FleetChaosComparison]) -> str:
-    """Terminal table: attainment, failures, recoveries per scenario."""
-    from .reporting import format_table
-
-    rows = []
-    for comp in comparisons:
-        base, res = comp.baseline.summary(), comp.resilient.summary()
-        rows.append(
-            [
-                comp.scenario.name,
-                f"{100 * base['attainment_rate']:.1f}%",
-                f"{100 * res['attainment_rate']:.1f}%",
-                f"{100 * comp.margin:+.1f}pp",
-                f"{base['failed']}/{res['failed']}",
-                res["migrations"],
-                res["downgrades"],
-                (
-                    f"{res['breaker']['trips']}/"
-                    f"{res['breaker']['recoveries']}"
-                ),
-            ]
-        )
-    return format_table(
-        [
-            "scenario",
-            "baseline",
-            "resilient",
-            "margin",
-            "failed b/r",
-            "migrations",
-            "downgrades",
-            "trips/recoveries",
-        ],
-        rows,
-    )

@@ -18,8 +18,8 @@ anything exposing
 :class:`~repro.qaoa.problems.MaxCutProblem` and
 :class:`~repro.qaoa.ising.IsingProblem` both satisfy it, so every layer
 above — ``repro.api.compile``, the service job specs, the workload
-families, fleet admission, the batched angle-grid fast path — accepts
-either without special-casing.  The ``edges``/``linear`` surface is
+families, the batched angle-grid fast path — accepts either without
+special-casing.  The ``edges``/``linear`` surface is
 exactly what :func:`repro.sim.fastpath.cost_diagonal` duck-types on, so
 content-equal problems share one interned diagonal across the stack.
 

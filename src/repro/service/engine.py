@@ -362,7 +362,7 @@ class BatchEngine:
         if quarantined > 0:
             # The lookup tripped over a corrupt disk entry; the cache
             # already moved it aside — surface the event so operators see
-            # quarantines in batch/fleet telemetry, not just cache stats.
+            # quarantines in batch telemetry, not just cache stats.
             self.telemetry.incr("cache_quarantined", quarantined)
         if payload is None:
             return None
@@ -387,7 +387,6 @@ class BatchEngine:
             metrics=metrics,
             payload=payload,
             warnings=warnings,
-            placement=metrics.get("placement") if metrics else None,
         )
 
     def _finish(

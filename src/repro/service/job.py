@@ -62,8 +62,8 @@ MethodSpec = Union[str, PipelineSpec]
 
 
 def method_label(method: MethodSpec) -> str:
-    """Human-readable method label for records and fleet telemetry —
-    the registry name, or the flow label of an inline spec."""
+    """Human-readable method label for records and telemetry — the
+    registry name, or the flow label of an inline spec."""
     if isinstance(method, PipelineSpec):
         return method.method
     return str(method)
@@ -247,12 +247,6 @@ class JobResult:
             compile-path fallback taken while producing this result.  A
             populated list on an ``ok`` result means the job succeeded in
             degraded mode.
-        placement: Fleet placement audit trail (``device_label``,
-            ``policy``, ``wait_ms``, ``promised_latency_ms``), stamped by
-            :class:`repro.fleet.scheduler.Scheduler` when the job was
-            fleet-scheduled; ``None`` for direct batch runs.  Also
-            threaded into the result envelope's metrics so cached results
-            stay auditable, without changing the envelope format.
     """
 
     job: CompileJob
@@ -266,15 +260,6 @@ class JobResult:
     error: Optional[str] = None
     error_kind: Optional[str] = None
     warnings: List[str] = dataclasses.field(default_factory=list)
-    placement: Optional[dict] = None
-
-    @property
-    def device_label(self) -> Optional[str]:
-        """The fleet slot this result was placed on (``None`` unless
-        fleet-scheduled)."""
-        if self.placement is None:
-            return None
-        return self.placement.get("device_label")
 
     def compiled(self):
         """Deserialise the compiled circuit (raises on failed jobs)."""
@@ -304,7 +289,6 @@ class JobResult:
             "error": self.error,
             "error_kind": self.error_kind,
             "warnings": list(self.warnings),
-            "placement": self.placement,
         }
         if include_payload:
             record["payload"] = self.payload

@@ -72,8 +72,8 @@ class OptimizeJob:
     opt_seed: int = 0
     job_id: Optional[str] = None
 
-    # Proxies so JobResult.to_record / fleet labelling work on any job
-    # flavour without caring which one they hold.  Optimization runs on
+    # Proxies so JobResult.to_record works on any job flavour without
+    # caring which one it holds.  Optimization runs on
     # the exact logical fast path — there is no physical device.
     @property
     def device(self) -> str:

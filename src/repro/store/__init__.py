@@ -27,8 +27,8 @@ organised as pluggable tiers keyed by SHA-256 content fingerprints:
   (:class:`~repro.service.cache.ResultCache` is a thin facade over it).
 
 :func:`store_stats` aggregates every tier's counters into one JSON-safe
-snapshot; the batch engine and fleet scheduler thread it through
-``BatchReport``/``FleetReport`` and ``repro store`` exposes it on the CLI.
+snapshot; the batch engine threads it through ``BatchReport`` and
+``repro store`` exposes it on the CLI.
 """
 
 from .artifact import (

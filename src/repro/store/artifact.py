@@ -12,8 +12,7 @@ tests, the CLI and telemetry have one handle and one stats snapshot.
 :func:`store_stats` is the process-wide JSON-safe snapshot (every live
 registry + the shared tier); :func:`diff_store_stats` turns two
 snapshots into per-run deltas, which is how ``BatchReport.store_stats``
-and ``FleetReport.store`` report what one batch actually did rather than
-process-lifetime totals.
+reports what one batch actually did rather than process-lifetime totals.
 """
 
 from __future__ import annotations

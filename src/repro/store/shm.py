@@ -29,8 +29,9 @@ Hazards this module is explicit about (CPython 3.11, Linux, fork):
 * **Fork inheritance**: children inherit the parent's ``_owned`` map; the
   atexit sweep is pid-guarded so only the creating process unlinks.
 * **Exported views**: ``SharedMemory.close()`` raises ``BufferError``
-  while numpy views reference the buffer; cleanup unlinks first and
-  tolerates close failing.  The tier is therefore append-only — at
+  while numpy views reference the buffer; cleanup unlinks first and, when
+  close fails, drops the segment object's own handles so the views alone
+  keep the mapping alive.  The tier is therefore append-only — at
   capacity it stops publishing (counted) rather than evicting live
   segments out from under readers.
 * **fd budget**: every attached segment holds a file descriptor, so the
@@ -76,18 +77,22 @@ def _env_int(name: str, default: int) -> int:
     return value
 
 
-#: Segments whose close() failed because numpy views still reference the
-#: buffer.  Parking them here keeps SharedMemory.__del__ from running (it
-#: would re-raise BufferError as an "Exception ignored" at GC); the OS
-#: reclaims the mapping at process exit regardless.
-_GRAVEYARD = []
-
-
 def _close_quiet(shm) -> None:
     try:
         shm.close()
     except BufferError:
-        _GRAVEYARD.append(shm)
+        # Numpy views still export the mapping; they keep it alive until
+        # they are gone, and process exit reclaims it.  Drop this object's
+        # own handles so SharedMemory.__del__ has nothing left to close
+        # (it would re-raise BufferError as an "Exception ignored").
+        shm._buf = None
+        shm._mmap = None
+        if shm._fd >= 0:
+            try:
+                os.close(shm._fd)
+            except OSError:
+                pass
+            shm._fd = -1
     except OSError:
         pass
 
@@ -270,7 +275,7 @@ class SharedArrayTier:
                 if name in self._attached or name in self._owned:
                     # Lost a resolve race with another thread; keep the
                     # first attachment, drop ours.  The views we decoded
-                    # reference this buffer, so close via the graveyard.
+                    # still reference this buffer, so close quietly.
                     _close_quiet(shm)
                 else:
                     self._attached[name] = shm

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.store import ShardedDiskTier, SharedArrayTier, shard_for
-from repro.store.shm import segment_name
+from repro.store.shm import segment_name, shared_tier
 
 
 def _disk_worker(directory, worker_id, keys, out_queue):
@@ -45,6 +45,20 @@ def _shm_child_resolve(key, shape, out_queue):
         }
     )
     tier.cleanup()
+
+
+def _run_python(script):
+    """Run ``script`` in a fresh interpreter with this checkout's ``src``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    return subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 class TestMultiProcessDisk:
@@ -128,16 +142,7 @@ class TestSharedMemoryLifecycle:
             "    assert tier.resolve(key) is not None\n"
             "print(json.dumps([segment_name(k) for k in keys]))\n"
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = _run_python(script)
         assert proc.returncode == 0, proc.stderr
         names = json.loads(proc.stdout.strip().splitlines()[-1])
         assert len(names) == 4
@@ -162,6 +167,35 @@ class TestSharedMemoryLifecycle:
             assert os.path.exists(f"/dev/shm/{segment_name(key)}")
         finally:
             tier.cleanup()
+
+    def test_exit_with_views_of_own_segment_is_quiet(self, tmp_path):
+        """Re-interning a diagonal adopts views of the process's own
+        segment; exiting while they are alive must not print an
+        ``Exception ignored`` from ``SharedMemory.__del__``."""
+        script = tmp_path / "shm_own_views.py"
+        script.write_text(
+            "from repro.qaoa import MaxCutProblem\n"
+            "from repro.sim.fastpath import clear_diagonal_registry, cost_diagonal\n"
+            "problem = MaxCutProblem(4, [(0, 1), (1, 2), (2, 3), (0, 3)])\n"
+            "cost_diagonal(problem)\n"
+            "clear_diagonal_registry()\n"
+            "cost_diagonal(problem)\n"
+        )
+        proc = _run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert "Exception ignored" not in proc.stderr, proc.stderr
+
+    def test_adopted_views_survive_cleanup(self):
+        """Views resolved from a segment keep their values after
+        ``shared_tier().cleanup()`` unlinks and closes it."""
+        tier = shared_tier()
+        matrix = np.arange(32, dtype=np.float64).reshape(4, 8)
+        key = "it-views-survive-cleanup"
+        assert tier.publish(key, {"m": matrix})
+        view = tier.resolve(key)["m"]
+        tier.cleanup()
+        assert not os.path.exists(f"/dev/shm/{segment_name(key)}")
+        np.testing.assert_array_equal(view, matrix)
 
 
 class TestCorruptShardQuarantineAcrossProcesses:

@@ -2,9 +2,8 @@
 
 The registry is the API contract — once a spec is registered (built-in
 ``swap_network``/``parity`` or a user's custom method), it must compile
-through :func:`repro.compile`, survive serialization, resolve in the
-service job layer, and pass fleet admission without any entry point
-special-casing the name.
+through :func:`repro.compile`, survive serialization and resolve in the
+service job layer without any entry point special-casing the name.
 """
 
 import json
@@ -21,7 +20,6 @@ from repro.compiler import (
     to_json,
     unregister_method,
 )
-from repro.fleet import DeviceSlot, FleetJob, FleetSpec, Scheduler
 from repro.hardware import get_device
 from repro.qaoa import MaxCutProblem
 from repro.service import CompileJob, execute_job
@@ -113,12 +111,6 @@ class TestCustomRegisteredMethod:
             assert outcome.to_record()["method"] == "custom_brick"
             roundtrip = job_from_dict(job_to_dict(job))
             assert roundtrip.method == "custom_brick"
-            # fleet admission
-            scheduler = Scheduler(
-                FleetSpec([DeviceSlot("tokyo", "ibmq_20_tokyo")])
-            )
-            candidate, rejection = scheduler.admit(FleetJob(job=job))
-            assert rejection is None and candidate is not None
         finally:
             unregister_method("custom_brick")
 
@@ -158,35 +150,3 @@ class TestSpecPassthrough:
         assert a.fingerprint() == PipelineSpec(
             placement="linear", ordering="swap_network"
         ).fingerprint()
-
-
-class TestFleetAdmission:
-    def test_unknown_method_rejected_at_admission(self):
-        job = CompileJob(
-            program=_program(),
-            device="ibmq_20_tokyo",
-            method="no_such_method",
-            job_id="bad-0",
-        )
-        scheduler = Scheduler(
-            FleetSpec([DeviceSlot("tokyo", "ibmq_20_tokyo")])
-        )
-        candidate, rejection = scheduler.admit(FleetJob(job=job))
-        assert candidate is None
-        assert rejection is not None
-        assert rejection.kind == "unknown_method"
-        assert "no_such_method" in rejection.detail
-
-    def test_structural_methods_admitted(self):
-        scheduler = Scheduler(
-            FleetSpec([DeviceSlot("melb", "ibmq_16_melbourne")])
-        )
-        for method in ("swap_network", "parity"):
-            job = CompileJob(
-                program=_program(),
-                device="ibmq_16_melbourne",
-                method=method,
-                job_id=f"ok-{method}",
-            )
-            candidate, rejection = scheduler.admit(FleetJob(job=job))
-            assert rejection is None, rejection

@@ -2,8 +2,8 @@
 
 Covers the redesigned public surface: keyword-only signatures, input
 coercion (device names, couplings, calibrations, targets), the typed
-result objects, the deprecation shims, and a snapshot of the facade's
-export surface so accidental API drift fails loudly.
+result objects, the silent compiler-module entry points, and a snapshot
+of the facade's export surface so accidental API drift fails loudly.
 """
 
 import inspect
@@ -159,24 +159,8 @@ class TestEvaluate:
 
 
 class TestDeprecationShims:
-    def test_compile_qaoa_warns_and_works(self):
-        program = _problem().to_program([0.7], [0.35])
-        with pytest.warns(DeprecationWarning, match="compile_qaoa"):
-            compiled = repro.compile_qaoa(
-                program, get_device("linear_4"), rng=np.random.default_rng(0)
-            )
-        assert compiled.depth() > 0
-
-    def test_compile_with_method_warns_and_works(self):
-        program = _problem().to_program([0.7], [0.35])
-        with pytest.warns(DeprecationWarning, match="compile_with_method"):
-            compiled = repro.compile_with_method(
-                program,
-                get_device("linear_4"),
-                "ic",
-                rng=np.random.default_rng(0),
-            )
-        assert compiled.method.endswith("ic")
+    """2.0.0 dropped the warning top-level aliases; the originals under
+    :mod:`repro.compiler` never warned and still don't."""
 
     def test_compiler_module_names_stay_silent(self):
         from repro.compiler import compile_with_method as silent
@@ -192,13 +176,6 @@ class TestDeprecationShims:
             )
         assert compiled.method.endswith("ic")
 
-    def test_method_preset_unpacking_warns(self):
-        from repro.compiler import METHOD_PRESETS
-
-        with pytest.warns(DeprecationWarning, match="tuple-unpacking"):
-            placement, ordering = METHOD_PRESETS["ic"]
-        assert placement and ordering
-
 
 class TestSurfaceSnapshot:
     def test_api_module_surface(self):
@@ -208,8 +185,6 @@ class TestSurfaceSnapshot:
             "CompileResult",
             "EvalResult",
             "compile",
-            "compile_qaoa",
-            "compile_with_method",
             "evaluate",
         ]
 

@@ -106,11 +106,6 @@ class TestPipelineAssembly:
 
 
 class TestSpecCompat:
-    def test_presets_unpack_as_tuples(self):
-        with pytest.warns(DeprecationWarning, match="tuple-unpacking"):
-            placement, ordering = METHOD_PRESETS["ic"]
-        assert (placement, ordering) == ("qaim", "ic")
-
     def test_method_label(self):
         assert METHOD_PRESETS["vic"].method == "qaim+vic"
 

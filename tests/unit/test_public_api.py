@@ -43,7 +43,8 @@ class TestExports:
         for name in (
             "MaxCutProblem",
             "optimize_qaoa",
-            "compile_with_method",
+            "compile",
+            "evaluate",
             "ibmq_20_tokyo",
             "melbourne_calibration",
             "StatevectorSimulator",

@@ -2,8 +2,8 @@
 
 The registry is the single source of truth for method-name resolution:
 ``register_method`` / ``get_method`` / ``available_methods``, the
-deprecation shim over ``METHOD_PRESETS`` mutation, and the shared
-unknown-method error used by every entry point.
+read-only ``METHOD_PRESETS`` view, and the shared unknown-method error
+used by every entry point.
 """
 
 import warnings
@@ -94,16 +94,14 @@ class TestPresetsCompatibilityView:
             assert len(METHOD_PRESETS) == len(available_methods())
             assert set(METHOD_PRESETS) == set(available_methods())
 
-    def test_mutation_warns_and_registers(self):
+    def test_view_is_read_only(self):
         spec = PipelineSpec(placement="linear", ordering="swap_network")
-        with pytest.warns(DeprecationWarning, match="register_method"):
+        with pytest.raises(TypeError):
             METHOD_PRESETS["legacy_custom"] = spec
-        try:
-            assert get_method("legacy_custom") == spec
-        finally:
-            with pytest.warns(DeprecationWarning):
-                del METHOD_PRESETS["legacy_custom"]
         assert "legacy_custom" not in available_methods()
+        with pytest.raises(TypeError):
+            del METHOD_PRESETS["ic"]
+        assert get_method("ic").ordering == "ic"
 
     def test_view_tracks_registry(self):
         register_method("tracked", get_method("naive"))

@@ -1,9 +1,11 @@
 """Unit tests for the batch engine: caching, retries, timeouts, pooling."""
 
+import json
 import time
 
 import pytest
 
+from repro.circuits.qasm import dumps as qasm_dumps
 from repro.compiler.serialize import FORMAT_VERSION
 from repro.qaoa import MaxCutProblem
 from repro.service import (
@@ -13,6 +15,7 @@ from repro.service import (
     execute_job,
     run_batch,
 )
+from repro.service.job import decode_envelope, encode_envelope
 
 
 def _program(n=5):
@@ -373,3 +376,37 @@ class TestStaleFormatVersion:
         ]
         assert all(inst.name == "measure" for inst in tail)
         assert json.loads(entry.read_text())["format_version"] == 5
+
+
+class TestPre2Envelopes:
+    def test_placement_envelope_reads_back(self, tmp_path):
+        """Scheduled runs before 2.0.0 stamped a ``placement`` dict into
+        the envelope metrics at the same format version.  Such an entry
+        is still a cache hit: the engine passes its metrics through, and
+        the record carries no top-level ``placement`` key."""
+        (job,) = _jobs(1)
+        fresh = execute_job(job)
+        metrics, compiled_json = decode_envelope(fresh.payload)
+        metrics["placement"] = {
+            "device_label": "tokyo",
+            "policy": "greedy",
+            "wait_ms": 0.0,
+            "promised_latency_ms": 12.5,
+        }
+        directory = str(tmp_path / "cache")
+        ResultCache(directory=directory, expected_version=FORMAT_VERSION).put(
+            job.content_hash(), encode_envelope(compiled_json, metrics)
+        )
+
+        cache = ResultCache(directory=directory, expected_version=FORMAT_VERSION)
+        result = BatchEngine(cache=cache).run([job]).results[0]
+        assert result.ok and result.cached
+        assert qasm_dumps(result.compiled().circuit) == qasm_dumps(
+            fresh.compiled().circuit
+        )
+        assert result.metrics["placement"]["device_label"] == "tokyo"
+        record = result.to_record(include_payload=True)
+        assert "placement" not in record
+        assert json.loads(record["payload"])["metrics"]["placement"] == (
+            metrics["placement"]
+        )
