@@ -1,6 +1,6 @@
-"""Artifact-store bench: steady-state interning, shm fan-out, byte identity.
+"""Artifact-store bench: steady-state interning and byte identity.
 
-The content-addressed store (:mod:`repro.store`) makes three measurable
+The content-addressed store (:mod:`repro.store`) makes two measurable
 promises; this bench checks each one:
 
 1. **Steady-state throughput** — a stream of mixed jobs over a ~100-target
@@ -8,12 +8,7 @@ promises; this bench checks each one:
    instead of recomputing Floyd–Warshall per job.  The bench replays the
    stream cold (rebuild + recompute every job) and through the store, and
    gates on a ≥2x speedup.
-2. **Cross-process zero-copy** — a fresh worker process (a stand-in for a
-   pool worker) resolves the whole working set's hop tables out of the
-   shared-memory tier: every table is an shm attach hit and the worker
-   publishes nothing, i.e. no per-worker re-analysis.  A control worker
-   with ``REPRO_SHM_DISABLE=1`` recomputes everything and shows zero hits.
-3. **Byte identity** — entries written in the old flat ``ResultCache``
+2. **Byte identity** — entries written in the old flat ``ResultCache``
    layout read back byte-identical through the sharded facade, before and
    after migration into their shards.
 
@@ -26,9 +21,7 @@ assertions.
 """
 
 import json
-import os
 import pathlib
-import subprocess
 import sys
 import tempfile
 import time
@@ -41,38 +34,12 @@ from repro.hardware.coupling import CouplingGraph
 from repro.hardware.devices import grid_device
 from repro.hardware.target import clear_target_registry, intern_coupling
 from repro.service.cache import ResultCache
-from repro.store import reset_store, store_stats
+from repro.store import store_stats
 
 TARGETS = 100
 OPS = 10_000
 QUICK_TARGETS = 16
 QUICK_OPS = 500
-
-_SRC = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "src")
-)
-
-#: The fresh-worker workload, run in a real subprocess: intern the whole
-#: working set and touch every hop table, then report elapsed seconds and
-#: the shm tier's counters.  With shared memory on, every table resolves
-#: zero-copy (attach hits, no publishes); with REPRO_SHM_DISABLE=1 every
-#: table is recomputed locally.
-_WORKER_CODE = """
-import json, sys, time
-from repro.hardware.target import intern_coupling
-from repro.store import shared_tier
-
-specs = json.load(open(sys.argv[1]))
-start = time.perf_counter()
-for spec in specs:
-    coupling = intern_coupling(
-        spec["num_qubits"], [tuple(e) for e in spec["edges"]],
-        name=spec["name"],
-    )
-    coupling.distance_matrix()
-elapsed = time.perf_counter() - start
-print(json.dumps({"elapsed_s": elapsed, "shm": shared_tier().stats()}))
-"""
 
 
 def _working_set(num_targets):
@@ -133,25 +100,6 @@ def _run_store(specs, stream):
     return elapsed, delta
 
 
-def _run_worker(spec_file, disable_shm):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC
-    if disable_shm:
-        env["REPRO_SHM_DISABLE"] = "1"
-    else:
-        env.pop("REPRO_SHM_DISABLE", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", _WORKER_CODE, spec_file],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=600,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"store worker failed: {proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def _check_byte_identity(specs):
     """Old flat-layout entries must read back byte-identical through the
     sharded facade — cold (pre-migration) and warm (post-migration)."""
@@ -186,36 +134,14 @@ def run_bench(num_targets=TARGETS, ops=OPS):
     store_s, registry_delta = _run_store(specs, stream)
     speedup = cold_s / max(store_s, 1e-12)
 
-    # -- cross-process fan-out -------------------------------------------
-    # The parent plays the role of the first worker: it interns (and
-    # thereby publishes) the whole working set before the others start.
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".json", delete=False
-    ) as handle:
-        json.dump(specs, handle)
-        spec_file = handle.name
-    try:
-        shm_worker = _run_worker(spec_file, disable_shm=False)
-        cold_worker = _run_worker(spec_file, disable_shm=True)
-    finally:
-        os.unlink(spec_file)
-
     # -- byte identity ---------------------------------------------------
     identical = _check_byte_identity(specs)
 
     clear_target_registry()
-    reset_store()
 
     rows = [
         ["cold (rebuild per job)", ops, cold_s * 1e3, 1.0],
         ["store (interned)", ops, store_s * 1e3, speedup],
-        [
-            "worker via shm",
-            num_targets,
-            shm_worker["elapsed_s"] * 1e3,
-            cold_worker["elapsed_s"] / max(shm_worker["elapsed_s"], 1e-12),
-        ],
-        ["worker recompute", num_targets, cold_worker["elapsed_s"] * 1e3, 1.0],
     ]
     table = format_table(
         ["mode", "jobs", "total ms", "speedup"], rows, float_fmt="{:.3g}"
@@ -228,18 +154,13 @@ def run_bench(num_targets=TARGETS, ops=OPS):
         "store_speedup": speedup,
         "registry_hits": float(registry_delta["hits"]),
         "registry_misses": float(registry_delta["misses"]),
-        "worker_shm_attach_hits": float(shm_worker["shm"]["attach_hits"]),
-        "worker_shm_publishes": float(shm_worker["shm"]["publishes"]),
-        "worker_cold_hits": float(
-            cold_worker["shm"]["hits"] + cold_worker["shm"]["attach_hits"]
-        ),
         "byte_identical_entries": float(identical),
     }
     return FigureResult(
         figure="artifact_store",
         description=(
             f"Artifact store: {ops} mixed jobs over a {num_targets}-target "
-            f"working set, cold vs interned, plus shm worker fan-out"
+            f"working set, cold vs interned"
         ),
         table=table,
         headline=headline,
@@ -254,15 +175,6 @@ def _assert_headline(h):
         f"{targets:.0f} distinct targets"
     )
     assert h["registry_hits"] == h["ops"] - targets
-    # The worker resolved every hop table zero-copy: all attach hits, no
-    # per-worker recompute-and-publish.
-    assert h["worker_shm_attach_hits"] == targets, (
-        f"worker attached {h['worker_shm_attach_hits']:.0f}/"
-        f"{targets:.0f} tables from shared memory"
-    )
-    assert h["worker_shm_publishes"] == 0, "worker re-analysed a target"
-    # The control worker (shm disabled) resolved nothing from shm.
-    assert h["worker_cold_hits"] == 0
     assert h["byte_identical_entries"] > 0
     assert h["store_speedup"] > 2.0, (
         f"store path only {h['store_speedup']:.2f}x vs cold recompute"
@@ -291,9 +203,8 @@ def main(argv):
     h = result.headline
     print(
         f"OK: store path {h['store_speedup']:.1f}x over cold recompute; "
-        f"worker resolved {h['worker_shm_attach_hits']:.0f}/"
-        f"{h['targets']:.0f} tables from shared memory with zero "
-        f"re-analysis"
+        f"{h['byte_identical_entries']:.0f} flat-layout entries read back "
+        f"byte-identical"
     )
     return 0
 

@@ -114,7 +114,7 @@ from .sim import (
     evaluate_fast,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",

@@ -41,7 +41,7 @@ from .compiler.pipeline import PipelineSpec
 from .compiler.registry import unknown_method_error
 from .compiler.flow import compile_with_method as _compile_with_method_impl
 from .compiler.metrics import success_probability as _success_probability
-from .hardware import get_device
+from .hardware import auto_calibration, get_device
 from .hardware.calibration import Calibration
 from .hardware.coupling import CouplingGraph
 from .hardware.target import Target, intern_target
@@ -63,29 +63,14 @@ _DEFAULT_GAMMAS: Tuple[float, ...] = (0.7,)
 _DEFAULT_BETAS: Tuple[float, ...] = (0.35,)
 
 
-def _auto_calibration(coupling: CouplingGraph) -> Calibration:
-    """The paper's melbourne calibration for the melbourne device; a
-    seeded random calibration for anything else (mirrors the service's
-    ``calibration="auto"``)."""
-    from .hardware.calibration import random_calibration
-    from .hardware.devices import ibmq_16_melbourne, melbourne_calibration
-
-    melbourne = ibmq_16_melbourne()
-    if (
-        coupling.num_qubits == melbourne.num_qubits
-        and coupling.edges == melbourne.edges
-    ):
-        return melbourne_calibration()
-    return random_calibration(coupling, rng=np.random.default_rng(0))
-
-
-def _resolve_target(target, calibration) -> Target:
-    """Coerce a device name / coupling / calibration / Target to a Target."""
+def _resolve_target(target, calibration, seed: int) -> Target:
+    """Coerce a device name / coupling / calibration / Target to a Target;
+    ``calibration="auto"`` draws from ``seed`` off melbourne."""
     if isinstance(target, str):
         target = get_device(target)
     if calibration == "auto":
         calibration = (
-            _auto_calibration(target)
+            auto_calibration(target, seed)
             if isinstance(target, CouplingGraph)
             else None
         )
@@ -239,7 +224,9 @@ def compile(
         problem: A :class:`~repro.qaoa.problems.MaxCutProblem` (angles
             from ``gammas``/``betas``, default the harness's fixed p=1
             parameters) or a ready :class:`~repro.qaoa.problems.QAOAProgram`.
-        target: Device name (``"melbourne"``, ``"tokyo"``, ...), a
+        target: Device name (``"ibmq_16_melbourne"``,
+            ``"ibmq_20_tokyo"``, ... — see
+            :data:`repro.hardware.DEVICE_BUILDERS`), a
             :class:`~repro.hardware.coupling.CouplingGraph`, a
             :class:`~repro.hardware.calibration.Calibration`, or a
             prebuilt :class:`~repro.hardware.target.Target`.
@@ -256,10 +243,12 @@ def compile(
             MaxCut instance.
         calibration: Device calibration (required for ``method="vic"``
             unless the target carries one), or ``"auto"`` — the paper's
-            melbourne calibration for the melbourne device, a seeded
-            random calibration otherwise.
+            melbourne calibration for the device named
+            ``ibmq_16_melbourne``, otherwise a random calibration drawn
+            from ``seed`` (0 when ``seed`` is None), exactly as a
+            :class:`~repro.service.CompileJob` with the same seed.
         seed: Seed for the compilation's stochastic tie-breaks (ignored
-            when ``rng`` is given).
+            when ``rng`` is given) and for an ``"auto"`` calibration.
         rng: Explicit random generator.
         packing_limit: Max CPHASE gates per formed layer (Figure 12).
         router: ``"layered"`` or ``"sabre"``.
@@ -272,7 +261,7 @@ def compile(
             raise unknown_method_error(method)
         label = method
     program, maxcut = _resolve_program(problem, gammas, betas)
-    resolved = _resolve_target(target, calibration)
+    resolved = _resolve_target(target, calibration, 0 if seed is None else seed)
     rng = rng if rng is not None else np.random.default_rng(seed)
     compiled = _compile_with_method_impl(
         program,

@@ -314,27 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_p.add_argument("--dir", required=True, help="cache directory")
 
-    store_p = sub.add_parser(
-        "store",
-        help="inspect the content-addressed artifact store "
-        "(registries, shared memory, sharded disk)",
-    )
-    store_p.add_argument(
-        "action", choices=["stats", "prune", "clear"],
-        help="stats: per-tier counters; prune: drop corrupt disk entries "
-        "and writer debris; clear: delete every disk entry",
-    )
-    store_p.add_argument(
-        "--dir",
-        help="sharded disk-tier directory (stats work without it; "
-        "prune/clear require it)",
-    )
-    store_p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the stats snapshot as a JSON document",
-    )
-
     return parser
 
 
@@ -1000,59 +979,6 @@ def _cmd_cache(args, out) -> int:
     return 0
 
 
-def _cmd_store(args, out) -> int:
-    import json as _json
-
-    from .experiments.reporting import format_table
-    from .store import ShardedDiskTier, store_stats
-
-    disk = ShardedDiskTier(args.dir) if args.dir else None
-
-    if args.action == "stats":
-        snap = store_stats()
-        if disk is not None:
-            disk.bytes_used(refresh=True)  # populate entry counts lazily
-            disk_stats = disk.stats()
-            disk_stats["entries"] = disk.entries()
-            disk_stats["bytes"] = disk.bytes_used()
-            snap["disk"] = disk_stats
-        if args.json:
-            print(_json.dumps(snap, indent=2, sort_keys=True), file=out)
-            return 0
-        rows = []
-        for name, stats in sorted(snap["registries"].items()):
-            for key, value in sorted(stats.items()):
-                rows.append([f"registry.{name}.{key}", value])
-        for key, value in sorted(snap["shm"].items()):
-            rows.append([f"shm.{key}", value])
-        if "disk" in snap:
-            for key, value in sorted(snap["disk"].items()):
-                if key == "shards":
-                    value = (
-                        len(value) if isinstance(value, dict) else value
-                    )
-                rows.append([f"disk.{key}", value])
-        print(format_table(["store", "value"], rows), file=out)
-        return 0
-
-    if disk is None:
-        print(f"store {args.action} requires --dir", file=out)
-        return 1
-    if args.action == "prune":
-        removed = disk.prune(lambda payload: False)
-        debris = disk.sweep_debris()
-        print(
-            f"pruned {removed} corrupt entr{'y' if removed == 1 else 'ies'}, "
-            f"swept {debris} debris file{'' if debris == 1 else 's'} "
-            f"({disk.entries()} remain)",
-            file=out,
-        )
-    else:
-        removed = disk.clear(debris=True)
-        print(f"cleared {removed} entries from {args.dir}", file=out)
-    return 0
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
@@ -1079,6 +1005,4 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return _cmd_chaos(args, out)
     if args.command == "cache":
         return _cmd_cache(args, out)
-    if args.command == "store":
-        return _cmd_store(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -83,64 +83,18 @@ class CouplingGraph:
             q: tuple(sorted(self._neighbours_of(q))) for q in range(num_qubits)
         }
         # Hop distances are O(n^3) to compute and O(n^2) to hold, so the
-        # table is built lazily: pool workers that resolve it zero-copy
-        # from the shared-memory store (via _install_hop_distances) never
-        # run Floyd-Warshall at all.
+        # table is built on first use.
         self._hop_distances: Optional[np.ndarray] = None
 
     def _hop_table(self) -> np.ndarray:
-        """The hop-distance matrix, computed on first use (read-only).
-
-        Interned graphs carry a content key in ``_shm_key`` (set by
-        :func:`repro.hardware.target.intern_coupling`); those first try
-        to adopt the table zero-copy from the shared-memory store, and
-        publish it for other processes after computing.  Graphs built
-        directly never touch shared memory.
-        """
+        """The hop-distance matrix, computed on first use (read-only)."""
         if self._hop_distances is None:
-            key = getattr(self, "_shm_key", None)
-            if key is not None:
-                from ..store.shm import shared_tier
-
-                arrays = shared_tier().resolve(key)
-                if arrays is not None:
-                    table = arrays.get("hop")
-                    if table is not None and table.shape == (
-                        self.num_qubits,
-                        self.num_qubits,
-                    ):
-                        self._hop_distances = table
-                        return table
             dist = floyd_warshall(self.num_qubits, {e: 1.0 for e in self._edges})
             # Served directly by distance_matrix(); read-only so hot-path
             # callers can share it without defensive copies.
             dist.setflags(write=False)
             self._hop_distances = dist
-            if key is not None:
-                from ..store.shm import shared_tier
-
-                shared_tier().publish(key, {"hop": dist})
         return self._hop_distances
-
-    def _install_hop_distances(self, matrix: np.ndarray) -> None:
-        """Adopt an externally resolved hop table (shared-memory tier).
-
-        The matrix must be the read-only Floyd-Warshall table for this
-        exact edge set — callers address it by coupling fingerprint, so
-        content addressing is the correctness argument.  No-op if a
-        table is already materialised.
-        """
-        if self._hop_distances is not None:
-            return
-        if matrix.shape != (self.num_qubits, self.num_qubits):
-            raise ValueError(
-                f"hop table shape {matrix.shape} != "
-                f"({self.num_qubits}, {self.num_qubits})"
-            )
-        if matrix.flags.writeable:
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
-        self._hop_distances = matrix
 
     def _neighbours_of(self, qubit: int) -> List[int]:
         return [

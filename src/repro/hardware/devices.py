@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .calibration import Calibration
+import numpy as np
+
+from .calibration import Calibration, random_calibration
 from .coupling import CouplingGraph, Edge
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "ibmq_16_melbourne",
     "ibmq_poughkeepsie",
     "melbourne_calibration",
+    "auto_calibration",
     "grid_device",
     "linear_device",
     "ring_device",
@@ -119,6 +122,16 @@ def melbourne_calibration(
         readout_error={q: readout_error for q in range(coupling.num_qubits)},
         timestamp="4/8/2020",
     )
+
+
+def auto_calibration(device: CouplingGraph, seed: int) -> Calibration:
+    """What ``calibration="auto"`` resolves to, in the service and the
+    api alike: :func:`melbourne_calibration` for the device named
+    ``ibmq_16_melbourne``, a random calibration drawn from ``seed`` for
+    any other device."""
+    if device.name == "ibmq_16_melbourne":
+        return melbourne_calibration()
+    return random_calibration(device, rng=np.random.default_rng(seed))
 
 
 def ibmq_poughkeepsie() -> CouplingGraph:

@@ -17,7 +17,7 @@ tier is a :class:`repro.store.disk.ShardedDiskTier`: entries fan out over
 flat-layout directory is still read, and entries migrate into their shard
 on first hit), writes are atomic, corrupt entries are quarantined, and an
 optional ``max_disk_bytes`` budget evicts oldest-first.  ``repro cache``
-and ``repro store`` manage it from the CLI.
+manages it from the CLI.
 """
 
 from __future__ import annotations

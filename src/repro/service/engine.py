@@ -85,12 +85,12 @@ class BatchReport:
         elapsed: Wall-clock seconds for the whole batch.
         cache_stats: Snapshot of the cache counters (empty dict when the
             run was uncached).
-        store_stats: Artifact-store activity for this run, two sections:
+        store_stats: Intern-registry activity for this run, two sections:
             ``"process"`` — :func:`repro.store.diff_store_stats` delta of
-            this process's registries and shared-memory tier across the
-            run; ``"jobs"`` — summed per-job ``store_events`` from the
-            executed (non-cached) results, which is the only view that
-            sees activity inside pool worker processes.
+            this process's registries across the run; ``"jobs"`` — summed
+            per-job ``store_events`` from the executed (non-cached)
+            results, which is the only view that sees activity inside
+            pool worker processes.
     """
 
     results: List[JobResult]
@@ -194,8 +194,6 @@ class BatchReport:
             ),
             "cache_hit_rate": self.cache_stats.get("hit_rate", 0.0),
             "cache_quarantined": int(self.cache_stats.get("quarantines", 0)),
-            "store_shm_hits": int(job_events.get("shm_hits", 0)),
-            "store_shm_publishes": int(job_events.get("shm_publishes", 0)),
             "store_registry_hits": int(job_events.get("registry_hits", 0)),
             "latency_p50_ms": latency.get("p50", 0.0),
             "latency_p95_ms": latency.get("p95", 0.0),
@@ -217,10 +215,6 @@ class BatchReport:
             ["elapsed", f"{s['elapsed_s']:.3f} s"],
             ["throughput", f"{s['jobs_per_s']:.1f} jobs/s"],
             ["cache hit rate", f"{100 * s['cache_hit_rate']:.1f}%"],
-            [
-                "store shm hits/publishes",
-                f"{s['store_shm_hits']}/{s['store_shm_publishes']}",
-            ],
             ["store registry hits", s["store_registry_hits"]],
             ["latency p50", f"{s['latency_p50_ms']:.2f} ms"],
             ["latency p95", f"{s['latency_p95_ms']:.2f} ms"],
@@ -424,9 +418,9 @@ class BatchEngine:
                         f"optimize_ms.{record['name']}",
                         float(record["seconds"]) * 1e3,
                     )
-                # Artifact-store activity from inside the worker (shm
-                # resolves, registry interning) — only executed results
-                # reach _finish, so cached envelopes never double-count.
+                # Registry activity from inside the worker — only executed
+                # results reach _finish, so cached envelopes never
+                # double-count.
                 for name, value in (
                     result.metrics.get("store_events") or {}
                 ).items():

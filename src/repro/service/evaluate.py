@@ -29,7 +29,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import BatchEngine, BatchReport
-from .job import CompileJob, JobResult, encode_envelope, resolve_job_environment
+from .job import CompileJob, JobResult, _job_environment, encode_envelope
+# Not called here: perfbench/bench_trace.py patches this module attribute.
+from .job import resolve_job_environment  # noqa: F401
 
 __all__ = [
     "EVAL_HASH_VERSION",
@@ -121,18 +123,17 @@ def execute_eval_job(job: EvalJob) -> JobResult:
     job-level faults (mirrors :func:`~repro.service.job.execute_job`)."""
     from ..compiler.flow import compile_with_method
     from ..compiler.metrics import success_probability
-    from ..hardware.target import intern_target
     from ..sim.fastpath import cost_diagonal, evaluate_fast
     from ..sim.noise import NoiseModel
     from ..store import flatten_store_events, store_stats
 
-    key = job.content_hash()
+    key = ""
     start = time.perf_counter()
     store_before = store_stats()
     try:
+        key = job.content_hash()
         cjob = job.compile_job
-        device, calibration, warnings = resolve_job_environment(cjob)
-        target = intern_target(device, calibration, warnings=tuple(warnings))
+        calibration, warnings, target = _job_environment(cjob)
         compiled = compile_with_method(
             cjob.program,
             target,
@@ -141,12 +142,12 @@ def execute_eval_job(job: EvalJob) -> JobResult:
             rng=np.random.default_rng(cjob.seed),
             router=cjob.router,
         )
-        compiled.warnings = warnings + compiled.warnings
+        compiled.warnings = list(warnings) + compiled.warnings
 
         if calibration is not None:
             noise = NoiseModel.from_calibration(calibration, t2_ns=job.t2_ns)
         else:
-            noise = NoiseModel.ideal(device.num_qubits)
+            noise = NoiseModel.ideal(target.num_qubits)
             if job.t2_ns is not None:
                 noise = dataclasses.replace(noise, t2_ns=float(job.t2_ns))
         if job.noise_scale != 1.0:

@@ -174,13 +174,9 @@ class CompileJob:
             return spec
         device = device if device is not None else self.resolve_device()
         if spec == "auto":
-            if device.name == "ibmq_16_melbourne":
-                from ..hardware.devices import melbourne_calibration
+            from ..hardware.devices import auto_calibration
 
-                return melbourne_calibration()
-            return random_calibration(
-                device, rng=np.random.default_rng(self.seed)
-            )
+            return auto_calibration(device, self.seed)
         if isinstance(spec, dict):
             if "cnot_error" in spec:
                 return _calibration_from_payload(spec, device)
@@ -336,9 +332,8 @@ def execute_job(job: CompileJob) -> JobResult:
             "pass_trace": [r.to_dict() for r in compiled.pass_trace],
             "target_fingerprint": compiled.target_fingerprint,
         }
-        # Per-job artifact-store activity (shm hits/publishes, registry
-        # hits) — rides in the envelope so the engine sees what happened
-        # inside pool workers.
+        # Per-job registry activity rides in the envelope so the engine
+        # sees what happened inside pool workers.
         events = flatten_store_events(store_before, store_stats())
         if events:
             metrics["store_events"] = events

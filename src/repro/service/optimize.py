@@ -29,7 +29,7 @@ import json
 import time
 from typing import List, Optional, Sequence
 
-from ..qaoa.frontend import problem_canonical, problem_from_spec
+from ..qaoa.frontend import Problem, problem_canonical, problem_from_spec
 from .engine import BatchEngine, BatchReport
 from .job import JobResult, encode_envelope
 
@@ -71,6 +71,15 @@ class OptimizeJob:
     restarts: int = 8
     opt_seed: int = 0
     job_id: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Rejected where the job is built: a problem that cannot hash would
+        # otherwise raise out of BatchEngine.run and lose the whole batch.
+        if not isinstance(self.problem, Problem):
+            raise ValueError(
+                f"problem must be a repro.qaoa.frontend.Problem, got "
+                f"{type(self.problem).__name__}"
+            )
 
     # Proxies so JobResult.to_record works on any job flavour without
     # caring which one it holds.  Optimization runs on
@@ -123,10 +132,11 @@ def execute_optimize_job(job: OptimizeJob) -> JobResult:
     from ..sim.fastpath import cost_diagonal
     from ..store import flatten_store_events, store_stats
 
-    key = job.content_hash()
+    key = ""
     start = time.perf_counter()
     store_before = store_stats()
     try:
+        key = job.content_hash()
         diagonal = cost_diagonal(job.problem)
         result = optimize_problem(
             job.problem,

@@ -8,7 +8,7 @@ of signal:
 * **histograms** — latency-style value streams summarised by count, mean,
   min/max and the p50/p95/p99 percentiles operators actually alert on;
 * **gauges** — last-written point-in-time values (resident store bytes,
-  shared-memory segment counts) where only the current level matters.
+  registry sizes) where only the current level matters.
 
 Everything is process-local and lock-protected; :meth:`Telemetry.snapshot`
 returns a plain nested dict (JSON-safe) and :meth:`Telemetry.render`

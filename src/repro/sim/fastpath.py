@@ -61,7 +61,6 @@ import numpy as np
 
 from .noise import _ONE_QUBIT_PAULIS, _TWO_QUBIT_PAULIS, NoiseModel
 from ..store.registry import FingerprintRegistry
-from ..store.shm import shared_tier
 
 __all__ = [
     "CostDiagonal",
@@ -281,43 +280,6 @@ _DIAGONALS = FingerprintRegistry(
     "diagonals", env_var="REPRO_DIAGONAL_CAPACITY", default_capacity=128
 )
 
-#: Don't publish diagonals above this many qubits into shared memory:
-#: cut+phase are 2 * 2^n * 8 bytes, and one 2^24 pair is already 256 MiB.
-_SHM_DIAGONAL_MAX_QUBITS = 20
-
-
-def _adopt_shared_tables(diagonal: CostDiagonal) -> None:
-    """Resolve cut/phase vectors zero-copy from the shared-memory tier."""
-    arrays = shared_tier().resolve(f"diag:{diagonal.fingerprint}")
-    if arrays is None:
-        return
-    cut = arrays.get("cut")
-    phase = arrays.get("phase")
-    if (
-        cut is not None
-        and phase is not None
-        and cut.shape == (diagonal.dim,)
-        and phase.shape == (diagonal.dim,)
-    ):
-        diagonal._cut = cut
-        diagonal._phase = phase
-
-
-def _publish_shared_tables(diagonal: CostDiagonal) -> None:
-    """Compute and publish cut/phase for other processes to adopt.
-
-    The tables are forced eagerly here — on the intern-miss path only —
-    so pool workers that later adopt them never materialise their own
-    2^n vectors.  Oversized diagonals stay process-private.
-    """
-    if diagonal.num_qubits > _SHM_DIAGONAL_MAX_QUBITS:
-        return
-    shared_tier().publish(
-        f"diag:{diagonal.fingerprint}",
-        {"cut": diagonal.cut, "phase": diagonal.phase},
-    )
-
-
 def cost_diagonal(problem) -> CostDiagonal:
     """The shared :class:`CostDiagonal` for this problem content.
 
@@ -327,10 +289,7 @@ def cost_diagonal(problem) -> CostDiagonal:
     Content-equal problems — even across distinct objects, edge orders or
     QAOA parameter sets — return the *same* diagonal, so its tables are
     computed once.  The registry is a bounded LRU
-    (``REPRO_DIAGONAL_CAPACITY``, default 128); on an intern miss the
-    2^n cut/phase tables are adopted zero-copy from the shared-memory
-    tier when any process already published them, and published
-    otherwise.
+    (``REPRO_DIAGONAL_CAPACITY``, default 128).
     """
     num_qubits = getattr(problem, "num_qubits", None)
     if num_qubits is None:
@@ -338,11 +297,7 @@ def cost_diagonal(problem) -> CostDiagonal:
     candidate = CostDiagonal(
         num_qubits, problem.edges, getattr(problem, "linear", None)
     )
-    diagonal, hit = _DIAGONALS.intern(candidate.fingerprint, lambda: candidate)
-    if not hit:
-        _adopt_shared_tables(diagonal)
-        if diagonal._cut is None:
-            _publish_shared_tables(diagonal)
+    diagonal, _hit = _DIAGONALS.intern(candidate.fingerprint, lambda: candidate)
     return diagonal
 
 

@@ -52,7 +52,7 @@ def shard_for(key: str) -> str:
 
 @dataclass
 class ShardStats:
-    """Per-shard counters surfaced through ``repro store stats``."""
+    """Per-shard counters (see :meth:`ShardedDiskTier.shard_stats`)."""
 
     hits: int = 0
     misses: int = 0

@@ -16,6 +16,13 @@ Capacity resolution order (first match wins):
 
 ``capacity`` may be ``None`` for an unbounded registry (tests, short-lived
 scripts); every long-running-service registry in the repo sets a bound.
+
+:func:`store_stats` is the process-wide JSON-safe snapshot of every live
+registry; :func:`diff_store_stats` turns two snapshots into per-run
+deltas, which is how ``BatchReport.store_stats`` reports what one batch
+actually did rather than process-lifetime totals, and
+:func:`flatten_store_events` compacts a delta into the per-job
+``store_events`` record.
 """
 
 from __future__ import annotations
@@ -25,7 +32,14 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple, TypeVar
 
-__all__ = ["FingerprintRegistry", "all_registries", "registry_capacity"]
+__all__ = [
+    "FingerprintRegistry",
+    "all_registries",
+    "diff_store_stats",
+    "flatten_store_events",
+    "registry_capacity",
+    "store_stats",
+]
 
 V = TypeVar("V")
 
@@ -206,3 +220,65 @@ def all_registries() -> Dict[str, FingerprintRegistry]:
     """Every live registry by name (aggregate telemetry)."""
     with _ALL_LOCK:
         return dict(_ALL)
+
+
+#: Snapshot keys that are gauges (current values), not monotonic
+#: counters — a diff reports the *after* value for these.
+_GAUGE_KEYS = {"size", "capacity"}
+
+
+def store_stats() -> Dict[str, object]:
+    """Process-wide JSON-safe snapshot of every registry's counters.
+
+    ``"shm"`` is always ``{}``: the shared-memory tier is gone, but
+    ``perfbench/bench_trace.py`` reads ``store["shm"].get("publishes", 0)``.
+    """
+    return {
+        "registries": {
+            name: registry.stats() for name, registry in all_registries().items()
+        },
+        "shm": {},
+    }
+
+
+def flatten_store_events(before: Dict, after: Dict) -> Dict[str, int]:
+    """Compact registry counter deltas between two :func:`store_stats`
+    snapshots.
+
+    This is the per-job event record executors stamp into result metrics
+    (``store_events``) so the batch engine can see registry activity that
+    happened in pool processes.  Registries are summed; zero-valued
+    counters are dropped to keep envelopes small.
+    """
+    events = {"registry_hits": 0, "registry_misses": 0, "registry_evictions": 0}
+    for stats in diff_store_stats(before, after).get("registries", {}).values():
+        events["registry_hits"] += int(stats.get("hits", 0))
+        events["registry_misses"] += int(stats.get("misses", 0))
+        events["registry_evictions"] += int(stats.get("evictions", 0))
+    return {k: v for k, v in events.items() if v}
+
+
+def diff_store_stats(before: Dict, after: Dict) -> Dict[str, object]:
+    """Delta between two :func:`store_stats` snapshots.
+
+    Counters are diffed (clamped at zero, so a registry clear mid-run
+    can't go negative); gauge keys report the *after* value; snapshot
+    sections present only in ``after`` diff against zero.
+    """
+    out: Dict[str, object] = {}
+    for key, after_value in after.items():
+        before_value = before.get(key)
+        if isinstance(after_value, dict):
+            out[key] = diff_store_stats(
+                before_value if isinstance(before_value, dict) else {}, after_value
+            )
+        elif isinstance(after_value, bool) or not isinstance(
+            after_value, (int, float)
+        ):
+            out[key] = after_value
+        elif key in _GAUGE_KEYS:
+            out[key] = after_value
+        else:
+            prior = before_value if isinstance(before_value, (int, float)) else 0
+            out[key] = max(0, after_value - prior)
+    return out

@@ -75,6 +75,25 @@ class TestCompile:
         )
         assert result.target.calibration is not None
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_auto_calibration_matches_the_service(self, seed):
+        """Off melbourne, ``"auto"`` draws from the call's seed, as a
+        CompileJob with the same seed does."""
+        from repro.service import CompileJob
+        from repro.service.job import _job_environment
+
+        result = compile(
+            _problem(), target="ibmq_20_tokyo", calibration="auto", seed=seed
+        )
+        job = CompileJob(
+            program=result.program,
+            device="ibmq_20_tokyo",
+            calibration="auto",
+            seed=seed,
+        )
+        _, _, service_target = _job_environment(job)
+        assert result.target.fingerprint == service_target.fingerprint
+
     def test_target_object_passthrough(self):
         target = intern_target(get_device("linear_4"))
         result = compile(_problem(), target=target)

@@ -7,15 +7,20 @@ import pytest
 
 from repro.circuits.qasm import dumps as qasm_dumps
 from repro.compiler.serialize import FORMAT_VERSION
+from repro.hardware import clear_target_registry, ring_device
 from repro.qaoa import MaxCutProblem
 from repro.service import (
     BatchEngine,
     CompileJob,
+    EvalJob,
     ResultCache,
     execute_job,
     run_batch,
+    run_eval_batch,
 )
+from repro.service import job as job_module
 from repro.service.job import decode_envelope, encode_envelope
+from repro.sim.fastpath import clear_diagonal_registry
 
 
 def _program(n=5):
@@ -191,16 +196,57 @@ class TestSerial:
             BatchEngine(timeout=0)
 
 
+def _timing_free(payload):
+    """An envelope without its wall-clock fields and registry events."""
+    envelope = json.loads(payload)
+    for part in (envelope["metrics"], envelope["compiled"] or {}):
+        for name in ("compile_time", "eval_trace", "store_events"):
+            part.pop(name, None)
+        for record in part.get("pass_trace") or []:
+            del record["seconds"]
+    return envelope
+
+
 class TestPooled:
     def test_pooled_matches_serial(self):
-        jobs = _jobs(4)
-        serial = run_batch(jobs)
-        pooled = run_batch(jobs, workers=2)
-        assert [r.ok for r in pooled.results] == [True] * 4
-        for a, b in zip(serial.results, pooled.results):
+        """Workers resolve their own tables: a tokyo VIC job draws and
+        analyses its calibration, an inline coupling re-interns through
+        ``intern_coupling`` on unpickle, and eval jobs run pooled too."""
+        program = _program()
+        jobs = _jobs(4) + [
+            CompileJob(
+                program=program,
+                device="ibmq_20_tokyo",
+                method="vic",
+                calibration="auto",
+                seed=5,
+            ),
+            CompileJob(program=program, device=ring_device(8), method="ic"),
+        ]
+        eval_jobs = [
+            EvalJob(
+                CompileJob(
+                    program=program,
+                    device="ibmq_16_melbourne",
+                    method=method,
+                    calibration="auto",
+                ),
+                shots=256,
+                trajectories=2,
+            )
+            for method in ("ic", "vic")
+        ]
+        # Forked workers would inherit whatever the parent interned.
+        clear_target_registry()
+        clear_diagonal_registry()
+        job_module._ENVIRONMENTS.clear()
+        pooled = run_batch(jobs, workers=2).results
+        pooled += run_eval_batch(eval_jobs, workers=2).results
+        serial = run_batch(jobs).results + run_eval_batch(eval_jobs).results
+        assert [r.ok for r in pooled] == [True] * 8
+        for a, b in zip(serial, pooled):
             assert a.key == b.key
-            assert a.metrics["depth"] == b.metrics["depth"]
-            assert a.metrics["gate_count"] == b.metrics["gate_count"]
+            assert _timing_free(a.payload) == _timing_free(b.payload)
 
     def test_pooled_failure_degrades_gracefully(self):
         jobs = _jobs(1)
@@ -381,7 +427,8 @@ class TestStaleFormatVersion:
 class TestPre2Envelopes:
     def test_placement_envelope_reads_back(self, tmp_path):
         """Scheduled runs before 2.0.0 stamped a ``placement`` dict into
-        the envelope metrics at the same format version.  Such an entry
+        the envelope metrics at the same format version, and runs before
+        3.0.0 stamped ``shm_*`` keys into ``store_events``.  Such an entry
         is still a cache hit: the engine passes its metrics through, and
         the record carries no top-level ``placement`` key."""
         (job,) = _jobs(1)
@@ -393,14 +440,19 @@ class TestPre2Envelopes:
             "wait_ms": 0.0,
             "promised_latency_ms": 12.5,
         }
+        metrics["store_events"] = {"shm_hits": 2, "shm_publishes": 1}
         directory = str(tmp_path / "cache")
         ResultCache(directory=directory, expected_version=FORMAT_VERSION).put(
             job.content_hash(), encode_envelope(compiled_json, metrics)
         )
 
         cache = ResultCache(directory=directory, expected_version=FORMAT_VERSION)
-        result = BatchEngine(cache=cache).run([job]).results[0]
+        report = BatchEngine(cache=cache).run([job])
+        result = report.results[0]
         assert result.ok and result.cached
+        assert result.metrics["store_events"] == metrics["store_events"]
+        assert report.store_stats["jobs"] == {}  # cached: not counted
+        assert "store registry hits" in report.render()
         assert qasm_dumps(result.compiled().circuit) == qasm_dumps(
             fresh.compiled().circuit
         )

@@ -11,6 +11,9 @@ from repro.service import (
     execute_eval_job,
     run_eval_batch,
 )
+from repro.service import evaluate as evaluate_module
+from repro.service import job as job_module
+from repro.service.job import resolve_job_environment
 
 
 def _program(n=6, seed=0):
@@ -98,12 +101,41 @@ class TestExecuteEvalJob:
         assert not result.ok
         assert result.error_kind == "invalid"
 
+    def test_unhashable_job_fails_not_raises(self):
+        job = _job()
+        job.compile_job.calibration = [1, 2]  # set after __post_init__
+        result = execute_eval_job(job)
+        assert not result.ok
+        assert result.error_kind == "invalid"
+        assert result.key == ""
+
     def test_noise_scale_zero_closes_the_gap(self):
         noisy = execute_eval_job(_job(mode="exact"))
         clean = execute_eval_job(_job(mode="exact", noise_scale=0.0))
         assert clean.ok and noisy.ok
         assert clean.metrics["arg"] == pytest.approx(0.0, abs=1e-9)
         assert noisy.metrics["arg"] > clean.metrics["arg"]
+
+
+class TestEvalEnvironmentMemo:
+    def test_shared_environment_resolves_once(self, monkeypatch):
+        calls = []
+
+        def counting(job):
+            calls.append(job.seed)
+            return resolve_job_environment(job)
+
+        monkeypatch.setattr(job_module, "resolve_job_environment", counting)
+        monkeypatch.setattr(evaluate_module, "resolve_job_environment", counting)
+        job_module._ENVIRONMENTS.clear()
+        try:
+            report = run_eval_batch(
+                [_job(eval_seed=seed) for seed in range(3)], cache=None
+            )
+        finally:
+            job_module._ENVIRONMENTS.clear()
+        assert len(report.ok) == 3
+        assert calls == [0]
 
 
 class TestEvalBatch:

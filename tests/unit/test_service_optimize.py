@@ -101,6 +101,20 @@ class TestExecute:
         assert a.metrics["expectation"] == b.metrics["expectation"]
         assert a.metrics["gammas"] == b.metrics["gammas"]
 
+    def test_unhashable_job_fails_not_raises(self):
+        job = _mis_job()
+        job.problem = object()  # set after __post_init__
+        result = execute_optimize_job(job)
+        assert not result.ok
+        assert result.error_kind == "exception"
+        assert result.key == ""
+
+    def test_non_problem_rejected_where_the_job_is_built(self):
+        """A problem that cannot hash would raise out of the engine's
+        up-front hashing and lose the good jobs of its batch."""
+        with pytest.raises(ValueError, match="Problem"):
+            run_optimize_batch([_mis_job(), OptimizeJob(problem=object())])
+
     def test_invalid_optimizer_is_invalid_not_exception(self):
         result = execute_optimize_job(_mis_job(optimizer="lbfgs"))
         assert not result.ok

@@ -3,14 +3,11 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.store import (
-    ArtifactStore,
     FingerprintRegistry,
     ShardedDiskTier,
-    SharedArrayTier,
     all_registries,
     diff_store_stats,
     flatten_store_events,
@@ -18,7 +15,6 @@ from repro.store import (
     shard_for,
     store_stats,
 )
-from repro.store.shm import segment_name
 
 
 # ----------------------------------------------------------------------
@@ -161,118 +157,6 @@ class TestRegistryCapacityKnobs:
 
 
 # ----------------------------------------------------------------------
-# SharedArrayTier
-# ----------------------------------------------------------------------
-@pytest.fixture
-def tier():
-    t = SharedArrayTier(max_segments=8, max_bytes=1 << 20)
-    yield t
-    t.cleanup()
-
-
-class TestSharedArrayTier:
-    def test_publish_then_resolve_roundtrip(self, tier):
-        arrays = {
-            "m": np.arange(12, dtype=np.float64).reshape(3, 4),
-            "v": np.array([1, 2, 3], dtype=np.int64),
-        }
-        assert tier.publish("k1", arrays)
-        out = tier.resolve("k1")
-        assert set(out) == {"m", "v"}
-        np.testing.assert_array_equal(out["m"], arrays["m"])
-        np.testing.assert_array_equal(out["v"], arrays["v"])
-        assert not out["m"].flags.writeable
-
-    def test_resolve_missing_counts_miss(self, tier):
-        assert tier.resolve("absent") is None
-        assert tier.stats()["misses"] == 1
-
-    def test_repeat_resolve_is_cached_hit(self, tier):
-        tier.publish("k", {"a": np.zeros(4)})
-        tier.resolve("k")
-        hits_before = tier.stats()["hits"]
-        tier.resolve("k")
-        assert tier.stats()["hits"] == hits_before + 1
-
-    def test_cross_tier_attach(self, tier):
-        """A second tier instance (stand-in for another process) resolves
-        the block the first one published, zero-copy."""
-        matrix = np.arange(16, dtype=np.float64).reshape(4, 4)
-        assert tier.publish("shared", {"hop": matrix})
-        other = SharedArrayTier(max_segments=8, max_bytes=1 << 20)
-        try:
-            out = other.resolve("shared")
-            assert out is not None
-            np.testing.assert_array_equal(out["hop"], matrix)
-            assert other.stats()["attach_hits"] == 1
-        finally:
-            other.cleanup()
-
-    def test_disabled_tier_never_publishes(self):
-        t = SharedArrayTier(enabled=False)
-        assert not t.publish("k", {"a": np.zeros(4)})
-        assert t.resolve("k") is None
-        assert t.stats()["segments"] == 0
-
-    def test_disable_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_DISABLE", "1")
-        assert not SharedArrayTier().enabled
-
-    def test_segment_cap_counts_skip(self):
-        t = SharedArrayTier(max_segments=1, max_bytes=1 << 20)
-        try:
-            assert t.publish("a", {"x": np.zeros(4)})
-            assert not t.publish("b", {"x": np.zeros(4)})
-            assert t.stats()["publish_skips"] == 1
-        finally:
-            t.cleanup()
-
-    def test_byte_cap_counts_skip(self):
-        t = SharedArrayTier(max_segments=8, max_bytes=64)
-        try:
-            assert not t.publish("big", {"x": np.zeros(1024)})
-            assert t.stats()["publish_skips"] == 1
-        finally:
-            t.cleanup()
-
-    def test_torn_block_treated_as_absent(self, tier):
-        """A segment without the magic seal (publisher died mid-write)
-        reads as a miss, counted as torn."""
-        from multiprocessing import shared_memory
-
-        name = segment_name("torn-key")
-        shm = shared_memory.SharedMemory(name=name, create=True, size=64)
-        try:
-            shm.buf[:8] = b"XXXXXXXX"  # wrong seal
-            assert tier.resolve("torn-key") is None
-            assert tier.stats()["torn"] == 1
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_cleanup_unlinks_owned_segments(self):
-        t = SharedArrayTier(max_segments=8, max_bytes=1 << 20)
-        t.publish("gone", {"x": np.zeros(8)})
-        name = segment_name("gone")
-        assert os.path.exists(f"/dev/shm/{name}")
-        t.cleanup()
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_publish_race_resolves_existing(self, tier):
-        matrix = np.ones((2, 2))
-        assert tier.publish("race", {"m": matrix})
-        other = SharedArrayTier(max_segments=8, max_bytes=1 << 20)
-        try:
-            # Same key: create fails with FileExistsError inside publish
-            # and the other tier attaches to the winner's block.
-            assert other.publish("race", {"m": matrix})
-            out = other.resolve("race")
-            np.testing.assert_array_equal(out["m"], matrix)
-        finally:
-            other.cleanup()
-
-
-# ----------------------------------------------------------------------
 # ShardedDiskTier
 # ----------------------------------------------------------------------
 class TestShardedDiskTier:
@@ -395,64 +279,31 @@ class TestShardedDiskTier:
 
 
 # ----------------------------------------------------------------------
-# ArtifactStore facade + stats plumbing
+# Stats plumbing
 # ----------------------------------------------------------------------
-class TestArtifactStore:
-    def test_intern_delegates_to_registry(self):
-        store = ArtifactStore(
-            "t-store", registry=FingerprintRegistry("t-store", capacity=4)
-        )
-        value, hit = store.intern("k", lambda: "v")
-        assert (value, hit) == ("v", False)
-        assert store.intern("k", lambda: "other") == ("v", True)
-
-    def test_arrays_round_trip_through_both_tiers(self):
-        shared = SharedArrayTier(max_segments=4, max_bytes=1 << 20)
-        store = ArtifactStore(
-            "t-arrays",
-            registry=FingerprintRegistry("t-arrays", capacity=4),
-            shared=shared,
-        )
-        try:
-            matrix = np.eye(3)
-            store.put_arrays("m", {"m": matrix})
-            out = store.get_arrays("m")
-            np.testing.assert_array_equal(out["m"], matrix)
-        finally:
-            shared.cleanup()
-
-    def test_disk_entries(self, tmp_path):
-        store = ArtifactStore(
-            "t-disk",
-            registry=FingerprintRegistry("t-disk", capacity=4),
-            disk=ShardedDiskTier(tmp_path),
-        )
-        assert store.get_entry("k") is None
-        store.put_entry("k", {"v": 1})
-        assert store.get_entry("k") == {"v": 1}
-        assert "disk" in store.stats()
-
+class TestStoreStats:
     def test_store_stats_shape(self):
         snap = store_stats()
-        assert "registries" in snap and "shm" in snap
+        assert "registries" in snap
+        assert snap["shm"] == {}  # kept, always empty
         for stats in snap["registries"].values():
             assert {"hits", "misses", "evictions", "size"} <= set(stats)
 
 
 class TestStatsDiffing:
     def test_counters_diff_and_gauges_take_after(self):
-        before = {"shm": {"hits": 2, "bytes": 100, "segments": 1}}
-        after = {"shm": {"hits": 5, "bytes": 50, "segments": 3}}
-        delta = diff_store_stats(before, after)
-        assert delta["shm"]["hits"] == 3
-        assert delta["shm"]["bytes"] == 50  # gauge: after-value
-        assert delta["shm"]["segments"] == 3
+        before = {"registries": {"r": {"hits": 2, "size": 100, "capacity": 1}}}
+        after = {"registries": {"r": {"hits": 5, "size": 50, "capacity": 3}}}
+        delta = diff_store_stats(before, after)["registries"]["r"]
+        assert delta["hits"] == 3
+        assert delta["size"] == 50  # gauge: after-value
+        assert delta["capacity"] == 3
 
     def test_counter_reset_clamps_at_zero(self):
         delta = diff_store_stats(
-            {"shm": {"hits": 10}}, {"shm": {"hits": 2}}
+            {"registries": {"r": {"hits": 10}}}, {"registries": {"r": {"hits": 2}}}
         )
-        assert delta["shm"]["hits"] == 0
+        assert delta["registries"]["r"]["hits"] == 0
 
     def test_new_sections_diff_against_zero(self):
         delta = diff_store_stats({}, {"registries": {"r": {"hits": 4}}})
@@ -464,21 +315,14 @@ class TestStatsDiffing:
                 "a": {"hits": 1, "misses": 0, "evictions": 0},
                 "b": {"hits": 2, "misses": 1, "evictions": 0},
             },
-            "shm": {"hits": 1, "attach_hits": 0, "misses": 0,
-                    "publishes": 0, "publish_skips": 0, "torn": 0},
+            "shm": {},
         }
         after = {
             "registries": {
                 "a": {"hits": 4, "misses": 0, "evictions": 0},
                 "b": {"hits": 2, "misses": 3, "evictions": 0},
             },
-            "shm": {"hits": 2, "attach_hits": 1, "misses": 0,
-                    "publishes": 1, "publish_skips": 0, "torn": 0},
+            "shm": {},
         }
         events = flatten_store_events(before, after)
-        assert events["registry_hits"] == 3
-        assert events["registry_misses"] == 2
-        assert events["shm_hits"] == 2  # hits + attach_hits deltas
-        assert events["shm_publishes"] == 1
-        assert "shm_torn" not in events  # zeros dropped
-        assert "registry_evictions" not in events
+        assert events == {"registry_hits": 3, "registry_misses": 2}
