@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from repro import MaxCutProblem, grid_device
-from repro.compiler import compile_qaoa
+from repro.compiler import PipelineSpec, compile_with_method
 from repro.experiments.reporting import format_table
 from repro.qaoa import erdos_renyi_graph
 
@@ -41,11 +41,10 @@ def main():
     for limit in args.limits:
         depths, gates, times = [], [], []
         for program in programs:
-            compiled = compile_qaoa(
+            compiled = compile_with_method(
                 program,
                 device,
-                ordering="ic",
-                packing_limit=limit,
+                PipelineSpec(placement="qaim", ordering="ic", packing_limit=limit),
                 rng=np.random.default_rng(limit),
             )
             depths.append(compiled.depth())

@@ -26,8 +26,10 @@ Quickstart (the :mod:`repro.api` facade is the front door)::
     scores = repro.evaluate(result, shots=4096, seed=7)
     print(result.swap_count, scores.r0, scores.rh, scores.arg)
 
-The lower-level entry points (``compile_qaoa``, ``compile_with_method``)
-live under :mod:`repro.compiler`.
+:func:`repro.compile` runs on
+:func:`repro.compiler.compile_with_method`, the one compile path, which
+also takes a :class:`~repro.compiler.pipeline.PipelineSpec` for any
+placement × ordering combination.
 """
 
 from .api import (
@@ -59,7 +61,6 @@ from .compiler import (
     PipelineSpec,
     VariationAwareCompiler,
     build_pipeline,
-    compile_spec,
     greedy_e_placement,
     greedy_v_placement,
     measure_compiled,
@@ -114,7 +115,7 @@ from .sim import (
     evaluate_fast,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",
@@ -154,7 +155,6 @@ __all__ = [
     "ConventionalBackend",
     "CompiledCircuit",
     "CompiledQAOA",
-    "compile_spec",
     "METHOD_PRESETS",
     "PassContext",
     "PassRecord",

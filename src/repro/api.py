@@ -1,19 +1,17 @@
 """The package's single public front door.
 
-The compilation stack grew several overlapping entry points
-(``compile_qaoa``, ``compile_with_method``, ``compile_spec``,
-``execute_job``).  This module is the one coherent surface new code
-should use:
+This module is the one coherent surface new code should use:
 
 * :func:`compile` — problem + target + method name in, typed
-  :class:`CompileResult` out;
+  :class:`CompileResult` out, through
+  :func:`repro.compiler.compile_with_method` (the one compile path, which
+  the batch service's jobs run on too);
 * :func:`evaluate` — compiled circuit in, typed :class:`EvalResult`
   (``r0``/``rh``/ARG and how they were obtained) out, served by the
   :mod:`repro.sim.fastpath` engine whenever the circuit proves
   ARG-equivalent and falling back to gate-by-gate simulation otherwise.
 
-Both are re-exported from :mod:`repro`; the lower-level entry points
-stay in :mod:`repro.compiler`.
+Both are re-exported from :mod:`repro`.
 
 Quickstart::
 
@@ -36,7 +34,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler.flow import METHOD_PRESETS
+from .compiler.flow import METHOD_PRESETS, _resolve_target
 from .compiler.pipeline import PipelineSpec
 from .compiler.registry import unknown_method_error
 from .compiler.flow import compile_with_method as _compile_with_method_impl
@@ -44,7 +42,7 @@ from .compiler.metrics import success_probability as _success_probability
 from .hardware import auto_calibration, get_device
 from .hardware.calibration import Calibration
 from .hardware.coupling import CouplingGraph
-from .hardware.target import Target, intern_target
+from .hardware.target import Target
 from .qaoa.ising import IsingProblem
 from .qaoa.problems import MaxCutProblem, QAOAProgram
 from .sim.fastpath import evaluate_fast
@@ -61,36 +59,6 @@ __all__ = [
 #: (``repro.experiments.harness.DEFAULT_GAMMA`` / ``DEFAULT_BETA``).
 _DEFAULT_GAMMAS: Tuple[float, ...] = (0.7,)
 _DEFAULT_BETAS: Tuple[float, ...] = (0.35,)
-
-
-def _resolve_target(target, calibration, seed: int) -> Target:
-    """Coerce a device name / coupling / calibration / Target to a Target;
-    ``calibration="auto"`` draws from ``seed`` off melbourne."""
-    if isinstance(target, str):
-        target = get_device(target)
-    if calibration == "auto":
-        calibration = (
-            auto_calibration(target, seed)
-            if isinstance(target, CouplingGraph)
-            else None
-        )
-    if isinstance(target, Target):
-        if calibration is not None and calibration is not target.calibration:
-            raise ValueError(
-                "calibration= conflicts with the Target's own calibration; "
-                "build the Target from the calibration you want"
-            )
-        return target
-    if isinstance(target, CouplingGraph):
-        return intern_target(target, calibration)
-    if isinstance(target, Calibration):
-        if calibration is not None and calibration is not target:
-            raise ValueError("two different calibrations given")
-        return intern_target(target.coupling, target)
-    raise TypeError(
-        f"target must be a device name, CouplingGraph, Calibration or "
-        f"Target, got {type(target).__name__}"
-    )
 
 
 def _resolve_program(
@@ -261,7 +229,17 @@ def compile(
             raise unknown_method_error(method)
         label = method
     program, maxcut = _resolve_program(problem, gammas, betas)
-    resolved = _resolve_target(target, calibration, 0 if seed is None else seed)
+    if isinstance(target, str):
+        target = get_device(target)
+    if calibration == "auto":
+        # The same draw as a CompileJob with this seed; a Target or
+        # Calibration passed as the target carries its own.
+        calibration = (
+            auto_calibration(target, 0 if seed is None else seed)
+            if isinstance(target, CouplingGraph)
+            else None
+        )
+    resolved = _resolve_target(target, calibration)
     rng = rng if rng is not None else np.random.default_rng(seed)
     compiled = _compile_with_method_impl(
         program,

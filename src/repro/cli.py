@@ -381,8 +381,7 @@ def _parse_crosstalk(text: Optional[str]):
 def _cmd_compile(args, out) -> int:
     from .compiler import compile_with_method, measure_compiled
     from .experiments.harness import make_problem
-    from .hardware import random_calibration
-    from .hardware.devices import get_device, melbourne_calibration
+    from .hardware.devices import auto_calibration, get_device
 
     rng = np.random.default_rng(args.seed)
     try:
@@ -392,13 +391,9 @@ def _cmd_compile(args, out) -> int:
         return 2
     problem = make_problem(args.family, args.nodes, args.param, rng)
     program = problem.to_program([0.7] * args.p, [0.35] * args.p)
-    calibration = None
-    if args.method == "vic":
-        calibration = (
-            melbourne_calibration()
-            if device.name == "ibmq_16_melbourne"
-            else random_calibration(device, rng=rng)
-        )
+    calibration = (
+        auto_calibration(device, args.seed) if args.method == "vic" else None
+    )
     try:
         compiled = compile_with_method(
             program,
@@ -526,20 +521,15 @@ def _cmd_analyze(args, out) -> int:
     from .compiler.analysis import analyze_compiled
     from .experiments.harness import make_problem
     from .experiments.reporting import format_table
-    from .hardware import random_calibration
-    from .hardware.devices import get_device, melbourne_calibration
+    from .hardware.devices import auto_calibration, get_device
 
     rng = np.random.default_rng(args.seed)
     device = get_device(args.device)
     problem = make_problem(args.family, args.nodes, args.param, rng)
     program = problem.to_program([0.7], [0.35])
-    calibration = None
-    if args.method == "vic":
-        calibration = (
-            melbourne_calibration()
-            if device.name == "ibmq_16_melbourne"
-            else random_calibration(device, rng=rng)
-        )
+    calibration = (
+        auto_calibration(device, args.seed) if args.method == "vic" else None
+    )
     compiled = compile_with_method(
         program, device, args.method, calibration=calibration, rng=rng
     )
@@ -621,7 +611,7 @@ def _cmd_evaluate(args, out) -> int:
     from .experiments.harness import make_problem
     from .experiments.reporting import format_table
     from .qaoa import optimize_qaoa
-    from .service import CompileJob, EvalJob, ResultCache, run_eval_batch
+    from .service import CompileJob, EvalJob, ResultCache, run_batch
 
     rng = np.random.default_rng(args.seed)
     problem = make_problem(args.family, args.nodes, args.param, rng)
@@ -655,7 +645,7 @@ def _cmd_evaluate(args, out) -> int:
         cache = ResultCache(
             directory=args.cache_dir, expected_version=FORMAT_VERSION
         )
-    report = run_eval_batch(jobs, cache=cache, seed=args.seed)
+    report = run_batch(jobs, cache=cache, seed=args.seed)
     by_id = {r.job.job_id: r for r in report.results}
     if args.json:
         import json as _json
@@ -714,7 +704,7 @@ def _cmd_evaluate(args, out) -> int:
         format_table(["method", "swaps", "r0", "rh", "ARG", "source"], rows),
         file=out,
     )
-    stages = report.eval_summary()
+    stages = report.stage_summary("eval")
     if stages:
         print("  eval stage p50 latency:", file=out)
         srows = [
@@ -725,32 +715,42 @@ def _cmd_evaluate(args, out) -> int:
     return 0 if not report.failed else 1
 
 
+def _read_jobs(path: str, load):
+    """The jobs ``load`` parses from a JSONL file (``-`` reads stdin), or
+    ``None`` after printing why when the file cannot be read, does not
+    parse, or holds no jobs."""
+    if path == "-":
+        lines = sys.stdin.readlines()
+    else:
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            print(f"error: cannot read job file: {exc}", file=sys.stderr)
+            return None
+    try:
+        jobs = load(lines)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    if not jobs:
+        print("error: job file contains no jobs", file=sys.stderr)
+        return None
+    return jobs
+
+
 def _cmd_optimize(args, out) -> int:
     from .experiments.reporting import format_table
     from .service import (
         OptimizeJob,
         ResultCache,
         load_optimize_jobs_jsonl,
-        run_optimize_batch,
+        run_batch,
     )
 
     if args.jobs is not None:
-        if args.jobs == "-":
-            lines = sys.stdin.readlines()
-        else:
-            try:
-                with open(args.jobs) as fh:
-                    lines = fh.readlines()
-            except OSError as exc:
-                print(f"error: cannot read job file: {exc}", file=sys.stderr)
-                return 2
-        try:
-            jobs = load_optimize_jobs_jsonl(lines)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not jobs:
-            print("error: job file contains no jobs", file=sys.stderr)
+        jobs = _read_jobs(args.jobs, load_optimize_jobs_jsonl)
+        if jobs is None:
             return 2
     else:
         from .experiments.harness import make_problem
@@ -776,7 +776,7 @@ def _cmd_optimize(args, out) -> int:
         cache = ResultCache(
             directory=args.cache_dir, expected_version=FORMAT_VERSION
         )
-    report = run_optimize_batch(jobs, cache=cache, seed=args.seed)
+    report = run_batch(jobs, cache=cache, seed=args.seed)
 
     if args.json:
         import json as _json
@@ -826,7 +826,7 @@ def _cmd_optimize(args, out) -> int:
         ),
         file=out,
     )
-    stages = report.optimize_summary()
+    stages = report.stage_summary("optimize")
     if stages:
         print("  optimize stage p50 latency:", file=out)
         srows = [
@@ -843,22 +843,8 @@ def _cmd_batch(args, out) -> int:
     from .compiler.serialize import FORMAT_VERSION
     from .service import BatchEngine, ResultCache, load_jobs_jsonl
 
-    if args.jobs == "-":
-        lines = sys.stdin.readlines()
-    else:
-        try:
-            with open(args.jobs) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            print(f"error: cannot read job file: {exc}", file=sys.stderr)
-            return 2
-    try:
-        jobs = load_jobs_jsonl(lines)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not jobs:
-        print("error: job file contains no jobs", file=sys.stderr)
+    jobs = _read_jobs(args.jobs, load_jobs_jsonl)
+    if jobs is None:
         return 2
 
     cache = None

@@ -10,8 +10,6 @@ from .flow import (
     PLACEMENTS,
     ROUTERS,
     CompiledQAOA,
-    compile_qaoa,
-    compile_spec,
     compile_with_method,
 )
 from .ic import IncrementalBlockResult, IncrementalCompiler
@@ -87,8 +85,6 @@ __all__ = [
     "IncrementalBlockResult",
     "VariationAwareCompiler",
     "vic_compiler",
-    "compile_qaoa",
-    "compile_spec",
     "compile_with_method",
     "CompiledQAOA",
     "METHOD_PRESETS",

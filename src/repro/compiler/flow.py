@@ -12,10 +12,10 @@ The paper's named methods are presets over these knobs
 (:data:`METHOD_PRESETS`): NAIVE = random+random, QAIM = qaim+random,
 IP = qaim+ip, IC = qaim+ic, VIC = qaim+vic.
 
-Since the pass-pipeline refactor this module is a thin wrapper: a preset
-is a declarative :class:`~repro.compiler.pipeline.PipelineSpec`,
-:func:`compile_qaoa`/:func:`compile_spec` assemble the concrete pass list
-via :func:`~repro.compiler.pipeline.build_pipeline` and run it, and the
+A preset is a declarative :class:`~repro.compiler.pipeline.PipelineSpec`;
+:func:`compile_with_method` — the one compile path — takes a preset name
+or a spec, assembles the concrete pass list via
+:func:`~repro.compiler.pipeline.build_pipeline` and runs it, and the
 per-pass instrumentation lands on the result as
 :attr:`CompiledQAOA.pass_trace`.
 
@@ -34,14 +34,12 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..circuits import QuantumCircuit, decompose_to_basis
-from ..circuits.gates import Instruction
 from ..hardware.calibration import Calibration
 from ..hardware.coupling import CouplingGraph
+from ..hardware.devices import get_device
 from ..hardware.target import Target, intern_target
 from ..qaoa.problems import QAOAProgram
 from .backend import _coupling_violation
-from .ic import IncrementalCompiler
-from .mapping import Mapping
 from .metrics import native_metrics, success_probability
 from .pipeline import PassContext, PassRecord, PipelineSpec, build_pipeline
 from .placement import (
@@ -56,10 +54,7 @@ from .swap_network import linear_placement
 
 __all__ = [
     "CompiledQAOA",
-    "compile_qaoa",
-    "compile_spec",
     "compile_with_method",
-    "run_incremental_flow",
     "METHOD_PRESETS",
     "PLACEMENTS",
     "ORDERINGS",
@@ -228,83 +223,108 @@ def _validate_spec(
         )
 
 
-def _resolve_target(
-    coupling,
-    calibration: Optional[Calibration],
-    target: Optional[Target],
-) -> Target:
-    """Normalise the (coupling, calibration, target) entry-point triple.
+def _resolve_target(target, calibration: Optional[Calibration]) -> Target:
+    """Coerce a device name, coupling graph, calibration or prebuilt
+    :class:`~repro.hardware.target.Target` to an interned target.
 
-    Callers either pass the loose objects (interned into a shared
-    :class:`~repro.hardware.target.Target` here) or a prebuilt target —
-    possibly *as* the ``coupling`` argument, so call sites read
-    ``compile_with_method(program, target, method)``.
+    A loose coupling is interned together with ``calibration``; a target
+    or calibration passed as ``target`` already carries its calibration,
+    so a different ``calibration`` argument is an error.
     """
-    if isinstance(coupling, Target):
-        if target is not None and target is not coupling:
-            raise ValueError("got two different targets")
-        target = coupling
-    if target is None:
-        if coupling is None:
-            raise ValueError("a coupling graph or Target is required")
-        return intern_target(coupling, calibration)
-    if calibration is not None and calibration is not target.calibration:
-        raise ValueError(
-            "calibration argument conflicts with the target's calibration; "
-            "build the target from the calibration you want"
-        )
-    return target
+    if isinstance(target, str):
+        target = get_device(target)
+    if isinstance(target, Target):
+        if calibration is not None and calibration is not target.calibration:
+            raise ValueError(
+                "calibration argument conflicts with the target's "
+                "calibration; build the target from the calibration you want"
+            )
+        return target
+    if isinstance(target, CouplingGraph):
+        return intern_target(target, calibration)
+    if isinstance(target, Calibration):
+        if calibration is not None and calibration is not target:
+            raise ValueError("two different calibrations given")
+        return intern_target(target.coupling, target)
+    raise TypeError(
+        f"target must be a device name, CouplingGraph, Calibration or "
+        f"Target, got {type(target).__name__}"
+    )
 
 
-def compile_spec(
+def compile_with_method(
     program: QAOAProgram,
-    coupling=None,
-    spec: PipelineSpec = None,
+    target,
+    method: Union[str, PipelineSpec] = "ic",
     calibration: Optional[Calibration] = None,
+    packing_limit: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
+    router: str = "layered",
+    qaim_radius: int = 2,
     crosstalk_conflicts=None,
-    target: Optional[Target] = None,
 ) -> CompiledQAOA:
-    """Compile a QAOA program through the pipeline a spec describes.
+    """Compile a QAOA program: the one function that builds and runs a
+    pipeline.
 
-    This is the single seam every compilation takes: it resolves the
-    device view into a shared :class:`~repro.hardware.target.Target`,
-    validates the spec, assembles the pass list with
-    :func:`~repro.compiler.pipeline.build_pipeline`, runs it, and wraps
-    the evolved context into a :class:`CompiledQAOA` (pass trace and
-    target fingerprint included).
+    It resolves the device view into a shared
+    :class:`~repro.hardware.target.Target`, validates the spec, assembles
+    the pass list with :func:`~repro.compiler.pipeline.build_pipeline`,
+    runs it, and wraps the evolved context into a :class:`CompiledQAOA`
+    (pass trace and target fingerprint included).
 
     Args:
         program: Logical QAOA program (edges + per-level angles).
-        coupling: Target device topology, or a prebuilt
-            :class:`~repro.hardware.target.Target`.
-        spec: Declarative flow description (placement, ordering, router,
-            knobs).
-        calibration: Required for ``ordering="vic"``; must cover
-            ``coupling``.  Ignored in favour of ``target.calibration``
-            when a target is passed (passing both is an error unless they
-            are the same object).
+        target: A device name, :class:`~repro.hardware.coupling.CouplingGraph`,
+            :class:`~repro.hardware.calibration.Calibration` or prebuilt
+            :class:`~repro.hardware.target.Target`; batches and sweeps
+            pass one interned target so the O(n³) device analyses run
+            once per device.
+        method: A name in the method registry (the paper's ``naive``,
+            ``greedy_v``, ``greedy_e``, ``qaim``, ``ip``, ``ic``,
+            ``vic``, the structural ``swap_network``/``parity``, plus
+            anything added via :func:`repro.compiler.register_method`) or
+            a :class:`~repro.compiler.pipeline.PipelineSpec` used as-is.
+        calibration: Required for ``ordering="vic"`` unless ``target``
+            carries one; must cover the target's coupling.
+        packing_limit: Max CPHASE gates per formed layer (``ip``/``ic``/
+            ``vic``; Figure 12's knob).
         rng: Random generator driving every stochastic tie-break.
+        router: Backend SWAP router, ``"layered"`` or ``"sabre"``.
+        qaim_radius: QAIM connectivity-strength radius.
         crosstalk_conflicts: Optional iterable of conflicting coupling
-            pairs; when given, a crosstalk sequentialisation pass runs
-            post-routing.  Defaults to the target's own conflict sets.
-    target: Prebuilt device view; batches/sweeps pass one interned
-            target so the O(n³) device analyses run once per device.
+            pairs; when given, the Section VI crosstalk sequentialisation
+            pass runs post-routing.  Defaults to the target's own
+            conflict sets.
+
+    ``router``, ``qaim_radius`` and ``packing_limit`` are fields of the
+    spec when ``method`` is a :class:`PipelineSpec`; passing them here too
+    raises.
     """
-    if spec is None:
-        raise ValueError("compile_spec requires a PipelineSpec")
-    resolved = _resolve_target(coupling, calibration, target)
+    if isinstance(method, PipelineSpec):
+        if (
+            router != "layered"
+            or qaim_radius != 2
+            or packing_limit is not None
+        ):
+            raise ValueError(
+                "router/qaim_radius/packing_limit are fields of the "
+                "PipelineSpec when compiling from a spec; set them there"
+            )
+        spec = method
+    else:
+        spec = get_method(method).replace(
+            router=router,
+            qaim_radius=qaim_radius,
+            packing_limit=packing_limit,
+        )
+    resolved = _resolve_target(target, calibration)
     _validate_spec(spec, resolved.coupling, resolved.calibration)
     rng = rng if rng is not None else np.random.default_rng()
 
     if crosstalk_conflicts is None and resolved.conflict_sets():
         crosstalk_conflicts = resolved.conflict_sets()
     pipeline = build_pipeline(spec, crosstalk_conflicts=crosstalk_conflicts)
-    context = PassContext(
-        program=program,
-        target=resolved,
-        rng=rng,
-    )
+    context = PassContext(program=program, target=resolved, rng=rng)
     start = time.perf_counter()
     pipeline.run(context)
     elapsed = time.perf_counter() - start
@@ -313,7 +333,7 @@ def compile_spec(
         circuit=context.circuit,
         # Preserve the caller's coupling instance when one was passed
         # loose (interning may have matched a content-equal device).
-        coupling=coupling if isinstance(coupling, CouplingGraph) else resolved.coupling,
+        coupling=target if isinstance(target, CouplingGraph) else resolved.coupling,
         program=program,
         initial_mapping=context.initial_mapping,
         final_mapping=context.final_mapping,
@@ -328,156 +348,3 @@ def compile_spec(
     )
     result.validate()
     return result
-
-
-def compile_qaoa(
-    program: QAOAProgram,
-    coupling=None,
-    placement: str = "qaim",
-    ordering: str = "random",
-    calibration: Optional[Calibration] = None,
-    packing_limit: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    qaim_radius: int = 2,
-    router: str = "layered",
-    crosstalk_conflicts=None,
-    target: Optional[Target] = None,
-) -> CompiledQAOA:
-    """Compile a QAOA program with the chosen placement and ordering.
-
-    Thin wrapper over :func:`compile_spec` — the knobs are packed into a
-    :class:`~repro.compiler.pipeline.PipelineSpec` and run through the
-    pass pipeline.
-
-    Args:
-        program: Logical QAOA program (edges + per-level angles).
-        coupling: Target device topology (or a prebuilt
-            :class:`~repro.hardware.target.Target`).
-        placement: One of :data:`PLACEMENTS`.
-        ordering: One of :data:`ORDERINGS`.
-        calibration: Required for ``ordering="vic"``; must cover
-            ``coupling``.
-        packing_limit: Optional max CPHASE gates per formed layer
-            (applies to ``ip``/``ic``/``vic``; Figure 12's knob).
-        rng: Random generator driving every stochastic tie-break.
-        qaim_radius: Connectivity-strength radius when placement is QAIM.
-        router: Backend SWAP router — ``"layered"`` (the qiskit-style
-            layer-partitioning backend) or ``"sabre"`` (lookahead search).
-            The paper's methodologies are front-ends to either.
-        crosstalk_conflicts: Optional iterable of conflicting coupling
-            pairs; when given, the Section VI crosstalk sequentialisation
-            pass runs post-compilation (see
-            :func:`repro.compiler.crosstalk.sequentialize_crosstalk`).
-        target: Prebuilt :class:`~repro.hardware.target.Target` carrying
-            coupling + calibration + memoized oracles.
-
-    Returns:
-        A :class:`CompiledQAOA`.
-    """
-    spec = PipelineSpec(
-        placement=placement,
-        ordering=ordering,
-        router=router,
-        qaim_radius=qaim_radius,
-        packing_limit=packing_limit,
-    )
-    return compile_spec(
-        program,
-        coupling,
-        spec,
-        calibration=calibration,
-        rng=rng,
-        crosstalk_conflicts=crosstalk_conflicts,
-        target=target,
-    )
-
-
-def run_incremental_flow(
-    program: QAOAProgram,
-    mapping: Mapping,
-    compiler: IncrementalCompiler,
-):
-    """Drive a (possibly custom) incremental compiler through a full QAOA
-    program: H prefix, per-level CPHASE blocks and mixers, measurements.
-
-    Exposed so ablation studies can plug in IncrementalCompiler variants
-    (frozen-distance ordering, alternative edge weights, ...) and still get
-    a complete circuit.  Mutates ``mapping``; returns
-    ``(circuit, final_mapping_dict, swap_count)``.
-    """
-    coupling = compiler.coupling
-    out = QuantumCircuit(coupling.num_qubits, name="qaoa_ic")
-    # Angles come from the validated program and qubits from the mapping
-    # (Python ints), so these gates are not re-validated.
-    gate = Instruction._unchecked
-    home = mapping.physical
-    qubits = range(program.num_qubits)
-    out.extend([gate("h", (home(q),)) for q in qubits])
-    swap_count = 0
-    for level in range(program.p):
-        block = compiler.compile_block(
-            program.cphase_gates(level), mapping, out
-        )
-        swap_count += block.swap_count
-        # Linear Ising terms: virtual RZs, diagonal, commute with the block.
-        out.extend([gate("rz", (home(q),), (angle,)) for q, angle in program.rz_gates(level)])
-        mixer = (program.mixer_angle(level),)
-        out.extend([gate("rx", (home(q),), mixer) for q in qubits])
-    out.extend([gate("measure", (home(q),)) for q in qubits])
-    return out, mapping.as_dict(), swap_count
-
-
-def compile_with_method(
-    program: QAOAProgram,
-    coupling=None,
-    method: Union[str, PipelineSpec] = "ic",
-    calibration: Optional[Calibration] = None,
-    packing_limit: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    router: str = "layered",
-    qaim_radius: int = 2,
-    crosstalk_conflicts=None,
-    target: Optional[Target] = None,
-) -> CompiledQAOA:
-    """Compile using a named method or an explicit pipeline spec.
-
-    ``method`` is either a name in the method registry (the paper's
-    ``naive``, ``greedy_v``, ``greedy_e``, ``qaim``, ``ip``, ``ic``,
-    ``vic``, the structural ``swap_network``/``parity``, plus anything
-    added via :func:`repro.compiler.register_method`) or a
-    :class:`~repro.compiler.pipeline.PipelineSpec` instance used as-is.
-    ``coupling`` accepts either a device topology or a prebuilt
-    :class:`~repro.hardware.target.Target` (equivalently pass ``target=``).
-    ``router`` selects the backend (``"layered"``/``"sabre"``),
-    ``qaim_radius`` tunes QAIM's connectivity-strength radius, and
-    ``crosstalk_conflicts`` appends the Section VI sequentialisation pass
-    — all forwarded to :func:`compile_spec`.  When ``method`` is a spec,
-    those knobs live *inside* the spec; passing them here too raises.
-    """
-    if isinstance(method, PipelineSpec):
-        if (
-            router != "layered"
-            or qaim_radius != 2
-            or packing_limit is not None
-        ):
-            raise ValueError(
-                "router/qaim_radius/packing_limit are fields of the "
-                "PipelineSpec when compiling from a spec; set them there"
-            )
-        spec = method
-    else:
-        preset = get_method(method)
-        spec = preset.replace(
-            router=router,
-            qaim_radius=qaim_radius,
-            packing_limit=packing_limit,
-        )
-    return compile_spec(
-        program,
-        coupling,
-        spec,
-        calibration=calibration,
-        rng=rng,
-        crosstalk_conflicts=crosstalk_conflicts,
-        target=target,
-    )

@@ -45,6 +45,7 @@ from ..hardware.coupling import CouplingGraph
 from ..hardware.target import Target, as_target
 from ..qaoa.problems import QAOAProgram
 from .backend import ConventionalBackend
+from .ic import IncrementalCompiler
 from .mapping import Mapping
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "VICDistancePass",
     "RoutingPass",
     "IncrementalRoutingPass",
+    "run_incremental_flow",
     "CrosstalkPass",
     "PeepholePass",
     "make_router",
@@ -478,6 +480,42 @@ class RoutingPass:
         context.swap_count += compiled.swap_count
 
 
+def run_incremental_flow(
+    program: QAOAProgram,
+    mapping: Mapping,
+    compiler: IncrementalCompiler,
+):
+    """Drive a (possibly custom) incremental compiler through a full QAOA
+    program: H prefix, per-level CPHASE blocks and mixers, measurements.
+
+    :class:`IncrementalRoutingPass` routes IC/VIC through it, and ablation
+    studies plug in IncrementalCompiler variants (frozen-distance
+    ordering, alternative edge weights, ...) to still get a complete
+    circuit.  Mutates ``mapping``; returns
+    ``(circuit, final_mapping_dict, swap_count)``.
+    """
+    coupling = compiler.coupling
+    out = QuantumCircuit(coupling.num_qubits, name="qaoa_ic")
+    # Angles come from the validated program and qubits from the mapping
+    # (Python ints), so these gates are not re-validated.
+    gate = Instruction._unchecked
+    home = mapping.physical
+    qubits = range(program.num_qubits)
+    out.extend([gate("h", (home(q),)) for q in qubits])
+    swap_count = 0
+    for level in range(program.p):
+        block = compiler.compile_block(
+            program.cphase_gates(level), mapping, out
+        )
+        swap_count += block.swap_count
+        # Linear Ising terms: virtual RZs, diagonal, commute with the block.
+        out.extend([gate("rz", (home(q),), (angle,)) for q, angle in program.rz_gates(level)])
+        mixer = (program.mixer_angle(level),)
+        out.extend([gate("rx", (home(q),), mixer) for q in qubits])
+    out.extend([gate("measure", (home(q),)) for q in qubits])
+    return out, mapping.as_dict(), swap_count
+
+
 class IncrementalRoutingPass:
     """IC/VIC routing: form layers one at a time against the *current*
     mapping and stitch the partial compilations (Section IV-C).
@@ -499,9 +537,6 @@ class IncrementalRoutingPass:
         self.info = {"router": router}
 
     def run(self, context: PassContext) -> None:
-        from .flow import run_incremental_flow
-        from .ic import IncrementalCompiler
-
         if context.mapping is None:
             raise ValueError("routing requires a placement (mapping unset)")
         compiler = IncrementalCompiler(

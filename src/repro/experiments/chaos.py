@@ -35,9 +35,9 @@ import numpy as np
 
 from ..compiler.flow import compile_with_method
 from ..compiler.metrics import measure_compiled
-from ..hardware.calibration import Calibration, random_calibration
+from ..hardware.calibration import Calibration
 from ..hardware.coupling import Edge
-from ..hardware.devices import get_device, melbourne_calibration
+from ..hardware.devices import auto_calibration, get_device
 from ..hardware.faults import (
     CalibrationError,
     CalibrationValidator,
@@ -297,13 +297,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _base_calibration(device_name: str, seed: int) -> Calibration:
-    device = get_device(device_name)
-    if device.name == "ibmq_16_melbourne":
-        return melbourne_calibration()
-    return random_calibration(device, rng=np.random.default_rng(seed))
-
-
 def run_chaos(
     methods: Sequence[str] = DEFAULT_METHODS,
     devices: Sequence[str] = DEFAULT_DEVICES,
@@ -335,7 +328,7 @@ def run_chaos(
 
     outcomes: List[ChaosOutcome] = []
     for device_name in devices:
-        base = _base_calibration(device_name, seed)
+        base = auto_calibration(get_device(device_name), seed)
         for scenario_index, scenario in enumerate(scenarios):
             injector = FaultInjector(
                 seed=seed * 1009 + scenario_index * 101 + hash_name(device_name)

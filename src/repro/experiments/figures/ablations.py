@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ...compiler.flow import compile_qaoa, run_incremental_flow
+from ...compiler.flow import compile_with_method
 from ...compiler.ic import IncrementalCompiler
 from ...compiler.metrics import success_probability
+from ...compiler.pipeline import PipelineSpec, run_incremental_flow
 from ...compiler.qaim import qaim_placement
 from ...hardware.devices import (
     grid_device,
@@ -68,13 +69,13 @@ def qaim_radius_ablation(
             for i, problem in enumerate(problems):
                 rng = np.random.default_rng((seed, radius, i))
                 program = problem.to_program([_GAMMA], [_BETA])
-                compiled = compile_qaoa(
+                compiled = compile_with_method(
                     program,
                     coupling,
-                    placement="qaim",
-                    ordering="random",
+                    PipelineSpec(
+                        placement="qaim", ordering="random", qaim_radius=radius
+                    ),
                     rng=rng,
-                    qaim_radius=radius,
                 )
                 depths.append(compiled.depth())
                 gates.append(compiled.gate_count())

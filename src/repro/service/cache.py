@@ -1,8 +1,9 @@
 """Content-addressed result cache: in-memory LRU plus an optional disk tier.
 
-Keys are :meth:`CompileJob.content_hash` digests; values are opaque payload
-strings (the metric envelopes of :mod:`repro.service.job`, which embed the
-:mod:`repro.compiler.serialize` JSON document).  The cache never interprets
+Keys are :meth:`~repro.service.job.Job.content_hash` digests of any job
+kind; values are opaque payload strings (the metric envelopes of
+:mod:`repro.service.job`, which embed the :mod:`repro.compiler.serialize`
+JSON document, or ``null`` for eval and optimize results).  The cache never interprets
 a payload beyond one check: when ``expected_version`` is set, a payload's
 top-level ``"format_version"`` must match, and disk entries written by an
 older serialisation format are deleted instead of served (format-version

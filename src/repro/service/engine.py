@@ -1,9 +1,11 @@
-"""Batch compilation engine: fan jobs across processes, degrade gracefully.
+"""Batch engine: fan jobs across processes, degrade gracefully.
 
-:class:`BatchEngine` turns a list of :class:`~repro.service.job.CompileJob`
-into one :class:`JobResult` per job — always, in input order.  A job can
-fail (bad device name, a crashing pass, a timeout); its result is then a
-structured error entry, and the rest of the batch is unaffected.
+:class:`BatchEngine` turns a list of :class:`~repro.service.job.Job` of
+any kind — compile, eval and optimize jobs, mixed freely — into one
+:class:`JobResult` per job, always, in input order.  A job can fail (bad
+device name, a crashing pass, a timeout, a canonical form that cannot
+hash); its result is then a structured error entry, and the rest of the
+batch is unaffected.
 
 Execution modes:
 
@@ -20,22 +22,19 @@ The engine consults a :class:`~repro.service.cache.ResultCache` before
 executing anything and write-through-populates it with every success, and
 it feeds a :class:`~repro.service.telemetry.Telemetry` instance throughout:
 ``jobs.*`` counters, end-to-end ``job_latency_ms`` / execution-only
-``execute_ms`` / pure ``compile_ms`` histograms, and one
-``pass_ms.<pass-name>`` histogram per compiler-pipeline pass (fed from
-each successful result's pass trace), so batch telemetry reports where
-compile time goes — p50/p95/p99 per pass, not just per job.  Evaluation
-jobs (:mod:`repro.service.evaluate`) additionally feed one
-``eval_ms.<stage>`` histogram per fast-path evaluation stage.
+``execute_ms`` / pure ``compile_ms`` histograms, and one histogram per
+stage of each executed job's stage traces — ``pass_ms.<pass>`` per
+compiler-pipeline pass, ``eval_ms.<stage>`` per fast-path evaluation
+stage, ``optimize_ms.<stage>`` per variational stage — so batch telemetry
+reports where the time goes (:meth:`BatchReport.stage_summary`).
 
-The engine is job-flavour agnostic: anything with ``content_hash()`` and
-the record fields (``job_id``/``device``/``method``/...) schedules the
-same way — ``execute_fn`` picks the workload
-(:func:`~repro.service.job.execute_job` compiles,
-:func:`~repro.service.evaluate.execute_eval_job` compiles + evaluates).
+``execute_fn`` defaults to :func:`~repro.service.job.execute_job`, which
+runs any kind.
 
 Retries apply to transient faults (worker exceptions, broken pools,
 timeouts).  Deterministic rejections (``error_kind="invalid"`` — unknown
-device, malformed program) never retry: they would fail identically again.
+device, malformed program, a job that cannot hash) never retry: they
+would fail identically again.
 """
 
 from __future__ import annotations
@@ -51,12 +50,20 @@ import numpy as np
 
 from ..store import diff_store_stats, store_stats
 from .cache import ResultCache
-from .job import CompileJob, JobResult, decode_envelope, execute_job
+from .job import Job, JobResult, decode_envelope, execute_job
 from .telemetry import Telemetry
 
 __all__ = ["BatchEngine", "BatchReport", "run_batch"]
 
 _RETRYABLE = ("exception", "timeout", "pool")
+
+#: Stage traces in a result's metrics, and the histogram family each
+#: stage's milliseconds feed.
+_STAGE_TRACES = (
+    ("pass_trace", "pass_ms"),
+    ("eval_trace", "eval_ms"),
+    ("optimize_trace", "optimize_ms"),
+)
 
 
 def _sum_store_events(results: Sequence[JobResult]) -> dict:
@@ -112,54 +119,21 @@ class BatchReport:
         """Jobs that succeeded but only via repairs/fallbacks."""
         return [r for r in self.results if r.ok and r.warnings]
 
-    def pass_summary(self) -> dict:
-        """Per-compiler-pass latency aggregation across the batch.
-
-        Returns ``{pass_name: {count, mean, min, max, p50, p95, p99}}``
-        in milliseconds, built from the ``pass_ms.*`` histograms the
-        engine feeds from every executed job's pass trace.  Cache hits
-        contribute no samples (nothing was compiled).
-        """
-        snap = self.telemetry.snapshot()
-        prefix = "pass_ms."
-        return {
-            name[len(prefix):]: summary
-            for name, summary in snap["histograms"].items()
-            if name.startswith(prefix)
-        }
-
-    def eval_summary(self) -> dict:
-        """Per-evaluation-stage latency aggregation across the batch.
+    def stage_summary(self, family: str) -> dict:
+        """Per-stage latency aggregation across the batch for one stage
+        family: ``"pass"`` (compiler-pipeline passes), ``"eval"``
+        (``diagonal``/``ideal``/``noisy``) or ``"optimize"``
+        (``population``/``search``).
 
         Returns ``{stage: {count, mean, min, max, p50, p95, p99}}`` in
-        milliseconds from the ``eval_ms.*`` histograms the engine feeds
-        from every executed evaluation job's ``eval_trace`` (stages:
-        ``diagonal``/``ideal``/``noisy``).  Empty for pure compile
-        batches and for cache hits.
+        milliseconds, built from the ``<family>_ms.*`` histograms the
+        engine feeds from every executed job's stage trace.  Cache hits
+        contribute no samples (nothing ran).
         """
-        snap = self.telemetry.snapshot()
-        prefix = "eval_ms."
+        prefix = f"{family}_ms."
         return {
             name[len(prefix):]: summary
-            for name, summary in snap["histograms"].items()
-            if name.startswith(prefix)
-        }
-
-    def optimize_summary(self) -> dict:
-        """Per-optimization-stage latency aggregation across the batch.
-
-        Returns ``{stage: {count, mean, min, max, p50, p95, p99}}`` in
-        milliseconds from the ``optimize_ms.*`` histograms the engine
-        feeds from every executed optimize job's ``optimize_trace``
-        (stages: ``population`` — the one batched fast-path scoring
-        pass — and ``search`` — the bounded local optimizer).  Empty for
-        other batch flavours and for cache hits.
-        """
-        snap = self.telemetry.snapshot()
-        prefix = "optimize_ms."
-        return {
-            name[len(prefix):]: summary
-            for name, summary in snap["histograms"].items()
+            for name, summary in self.telemetry.snapshot()["histograms"].items()
             if name.startswith(prefix)
         }
 
@@ -230,7 +204,7 @@ class BatchReport:
 @dataclasses.dataclass
 class _JobState:
     index: int
-    job: CompileJob
+    job: Job
     key: str
     attempts: int = 0
     enqueued_at: float = 0.0
@@ -239,7 +213,7 @@ class _JobState:
 
 
 class BatchEngine:
-    """Schedule compile jobs with caching, retries and timeouts.
+    """Schedule jobs of any kind with caching, retries and timeouts.
 
     Args:
         workers: Process-pool size; ``0`` runs serially in-process.
@@ -272,7 +246,7 @@ class BatchEngine:
         cache: Optional[ResultCache] = None,
         telemetry: Optional[Telemetry] = None,
         seed: int = 0,
-        execute_fn: Callable[[CompileJob], JobResult] = execute_job,
+        execute_fn: Callable[[Job], JobResult] = execute_job,
         sleep: Optional[Callable[[float], None]] = None,
     ) -> None:
         if workers < 0:
@@ -295,7 +269,7 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[CompileJob]) -> BatchReport:
+    def run(self, jobs: Sequence[Job]) -> BatchReport:
         """Run a batch; returns one result per job, input order."""
         start = time.perf_counter()
         store_before = store_stats()
@@ -305,12 +279,21 @@ class BatchEngine:
         now = time.monotonic()
         for index, job in enumerate(jobs):
             self.telemetry.incr("jobs.submitted")
-            state = _JobState(
-                index=index,
-                job=job,
-                key=job.content_hash(),
-                enqueued_at=now,
-            )
+            state = _JobState(index=index, job=job, key="", enqueued_at=now)
+            try:
+                state.key = job.content_hash()
+            except Exception as exc:  # noqa: BLE001 — one bad job, not the batch
+                # Unhashable means uncacheable and deterministic: no
+                # lookup, no execution, no retry.
+                failure = JobResult(
+                    job=job,
+                    key="",
+                    ok=False,
+                    error=f"{type(exc).__name__}: {exc}",
+                    error_kind="invalid",
+                )
+                self._finish(state, failure, results)
+                continue
             if state.key in missed:
                 # An earlier twin will run first and may cache this key:
                 # look it up once, when its turn comes.
@@ -403,21 +386,12 @@ class BatchEngine:
                     "compile_ms", result.metrics["compile_time"] * 1e3
                 )
             if result.metrics:
-                for record in result.metrics.get("pass_trace") or []:
-                    self.telemetry.observe(
-                        f"pass_ms.{record['name']}",
-                        float(record["seconds"]) * 1e3,
-                    )
-                for record in result.metrics.get("eval_trace") or []:
-                    self.telemetry.observe(
-                        f"eval_ms.{record['name']}",
-                        float(record["seconds"]) * 1e3,
-                    )
-                for record in result.metrics.get("optimize_trace") or []:
-                    self.telemetry.observe(
-                        f"optimize_ms.{record['name']}",
-                        float(record["seconds"]) * 1e3,
-                    )
+                for trace, family in _STAGE_TRACES:
+                    for record in result.metrics.get(trace) or []:
+                        self.telemetry.observe(
+                            f"{family}.{record['name']}",
+                            float(record["seconds"]) * 1e3,
+                        )
                 # Registry activity from inside the worker — only executed
                 # results reach _finish, so cached envelopes never
                 # double-count.
@@ -592,6 +566,7 @@ class BatchEngine:
         waiting.append(state)
 
 
-def run_batch(jobs: Sequence[CompileJob], **engine_kwargs) -> BatchReport:
-    """One-shot convenience: ``BatchEngine(**engine_kwargs).run(jobs)``."""
+def run_batch(jobs: Sequence[Job], **engine_kwargs) -> BatchReport:
+    """One-shot convenience: ``BatchEngine(**engine_kwargs).run(jobs)``
+    for jobs of any kind."""
     return BatchEngine(**engine_kwargs).run(jobs)

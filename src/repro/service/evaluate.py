@@ -1,51 +1,49 @@
 """Evaluation jobs: the ARG workload served by the batch engine.
 
-PR 1–4 built a serving layer that only compiles.  The slowest stage of
-every figure sweep, though, is *evaluation* — simulating each compiled
-circuit noiselessly and noisily for ``r0``/``rh``/ARG.  An
-:class:`EvalJob` makes that a first-class service workload: it wraps a
+The slowest stage of every figure sweep is *evaluation* — simulating each
+compiled circuit noiselessly and noisily for ``r0``/``rh``/ARG.  An
+:class:`EvalJob` makes that a service workload: a
+:class:`~repro.service.job.Job` kind that wraps a
 :class:`~repro.service.job.CompileJob` (what to compile) with the
-evaluation knobs (shots, trajectories, noise scaling, T2, mode, seed),
-executes through :func:`repro.sim.fastpath.evaluate_fast`, and flows
-through the same :class:`~repro.service.engine.BatchEngine` —
-content-addressed caching (keyed on the compile content × noise model ×
-shots), retries, and telemetry (``eval_ms.*`` per-stage histograms next
-to the compiler's ``pass_ms.*``).
+evaluation knobs (shots, trajectories, noise scaling, T2, mode, seed).
+:func:`~repro.service.job.execute_job` runs it — the compile job's own
+compile step, then :func:`repro.sim.fastpath.evaluate_fast` — and it
+flows through the same :class:`~repro.service.engine.BatchEngine` as
+every other kind: content-addressed caching (keyed on the compile content
+× noise model × shots), retries, and telemetry (``eval_ms.*`` per-stage
+histograms next to the compiler's ``pass_ms.*``).
 
-Results reuse the :func:`~repro.service.job.encode_envelope` format with
-``compiled: null`` — evaluations carry numbers, not circuits — so the
-existing cache tiers, format-version invalidation, and corrupt-entry
-quarantine apply unchanged.
+Results use the envelope format with ``compiled: null`` — evaluations
+carry numbers, not circuits — so the cache tiers, format-version
+invalidation, and corrupt-entry quarantine apply unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import time
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .engine import BatchEngine, BatchReport
-from .job import CompileJob, JobResult, _job_environment, encode_envelope
-# Not called here: perfbench/bench_trace.py patches this module attribute.
-from .job import resolve_job_environment  # noqa: F401
+from .job import CompileJob, Job, execute_job
+
+# Not called here: perfbench/bench_trace.py patches these module attributes.
+from .job import encode_envelope, resolve_job_environment  # noqa: F401
 
 __all__ = [
     "EVAL_HASH_VERSION",
     "EvalJob",
     "execute_eval_job",
-    "run_eval_batch",
 ]
 
 #: Bumped whenever the evaluation canonical form changes.
 EVAL_HASH_VERSION = 1
 
+execute_eval_job = execute_job  # perfbench passes this name as execute_fn
+
 
 @dataclasses.dataclass
-class EvalJob:
+class EvalJob(Job):
     """One ARG-evaluation request.
 
     Attributes:
@@ -74,8 +72,8 @@ class EvalJob:
     eval_seed: int = 0
     job_id: Optional[str] = None
 
-    # Proxies so JobResult.to_record / _device_label work on either job
-    # flavour without caring which one they hold.
+    # Proxies so JobResult.to_record works on any job kind without
+    # caring which one it holds.
     @property
     def device(self):
         return self.compile_job.device
@@ -110,56 +108,28 @@ class EvalJob:
             "eval_seed": self.eval_seed,
         }
 
-    def content_hash(self) -> str:
-        """Hex SHA-256 of the canonical form (the cache key)."""
-        text = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    def _run(self):
+        from ..compiler.metrics import success_probability
+        from ..sim.fastpath import cost_diagonal, evaluate_fast
+        from ..sim.noise import NoiseModel
 
-
-def execute_eval_job(job: EvalJob) -> JobResult:
-    """Compile and evaluate one job synchronously; never raises for
-    job-level faults (mirrors :func:`~repro.service.job.execute_job`)."""
-    from ..compiler.flow import compile_with_method
-    from ..compiler.metrics import success_probability
-    from ..sim.fastpath import cost_diagonal, evaluate_fast
-    from ..sim.noise import NoiseModel
-    from ..store import flatten_store_events, store_stats
-
-    key = ""
-    start = time.perf_counter()
-    store_before = store_stats()
-    try:
-        key = job.content_hash()
-        cjob = job.compile_job
-        calibration, warnings, target = _job_environment(cjob)
-        compiled = compile_with_method(
-            cjob.program,
-            target,
-            cjob.method,
-            packing_limit=cjob.packing_limit,
-            rng=np.random.default_rng(cjob.seed),
-            router=cjob.router,
-        )
-        compiled.warnings = list(warnings) + compiled.warnings
-
+        compiled, calibration = self.compile_job._compile()
         if calibration is not None:
-            noise = NoiseModel.from_calibration(calibration, t2_ns=job.t2_ns)
+            noise = NoiseModel.from_calibration(calibration, t2_ns=self.t2_ns)
         else:
-            noise = NoiseModel.ideal(target.num_qubits)
-            if job.t2_ns is not None:
-                noise = dataclasses.replace(noise, t2_ns=float(job.t2_ns))
-        if job.noise_scale != 1.0:
-            noise = noise.scaled(job.noise_scale)
+            noise = NoiseModel.ideal(compiled.coupling.num_qubits)
+            if self.t2_ns is not None:
+                noise = dataclasses.replace(noise, t2_ns=float(self.t2_ns))
+        if self.noise_scale != 1.0:
+            noise = noise.scaled(self.noise_scale)
 
         outcome = evaluate_fast(
             compiled,
             noise=noise,
-            shots=job.shots,
-            trajectories=job.trajectories,
-            rng=np.random.default_rng(job.eval_seed),
-            mode=job.mode,
+            shots=self.shots,
+            trajectories=self.trajectories,
+            rng=np.random.default_rng(self.eval_seed),
+            mode=self.mode,
         )
         metrics = {
             "r0": outcome.r0,
@@ -170,8 +140,8 @@ def execute_eval_job(job: EvalJob) -> JobResult:
             "mode": outcome.mode,
             "fastpath": outcome.fastpath,
             "fastpath_reason": outcome.reason,
-            "noise_scale": job.noise_scale,
-            "t2_ns": job.t2_ns,
+            "noise_scale": self.noise_scale,
+            "t2_ns": self.t2_ns,
             "swap_count": compiled.swap_count,
             "compile_time": compiled.compile_time,
             "success_probability": (
@@ -186,45 +156,6 @@ def execute_eval_job(job: EvalJob) -> JobResult:
             "pass_trace": [r.to_dict() for r in compiled.pass_trace],
             "warnings": list(compiled.warnings),
             "target_fingerprint": compiled.target_fingerprint,
-            "diagonal_fingerprint": cost_diagonal(cjob.program).fingerprint,
+            "diagonal_fingerprint": cost_diagonal(self.program).fingerprint,
         }
-        events = flatten_store_events(store_before, store_stats())
-        if events:
-            metrics["store_events"] = events
-        payload = encode_envelope("null", metrics)
-    except (KeyError, ValueError) as exc:
-        return JobResult(
-            job=job,
-            key=key,
-            ok=False,
-            attempts=1,
-            latency=time.perf_counter() - start,
-            error=str(exc),
-            error_kind="invalid",
-        )
-    except Exception as exc:  # noqa: BLE001 — jobs degrade, batches survive
-        return JobResult(
-            job=job,
-            key=key,
-            ok=False,
-            attempts=1,
-            latency=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-            error_kind="exception",
-        )
-    return JobResult(
-        job=job,
-        key=key,
-        ok=True,
-        attempts=1,
-        latency=time.perf_counter() - start,
-        metrics=metrics,
-        payload=payload,
-        warnings=list(compiled.warnings),
-    )
-
-
-def run_eval_batch(jobs: Sequence[EvalJob], **engine_kwargs) -> BatchReport:
-    """One-shot convenience: a :class:`BatchEngine` wired to
-    :func:`execute_eval_job` (cache, retries, telemetry all apply)."""
-    return BatchEngine(execute_fn=execute_eval_job, **engine_kwargs).run(jobs)
+        return None, metrics, list(compiled.warnings)

@@ -1,25 +1,37 @@
-"""The compilation-service job model.
+"""The service job model: one :class:`Job` base, three kinds.
 
-A :class:`CompileJob` is the unit of work the service layer schedules: one
-QAOA program, one target device, one flow configuration.  Jobs are plain
-data — picklable across process boundaries and serialisable to JSON lines —
-so the batch engine can fan them out and the cache can address their results
-by content.
+A job is the unit of work the service layer schedules.  Its kinds are
+siblings under :class:`Job`:
 
-**Content addressing.**  :meth:`CompileJob.content_hash` digests a canonical
-form of the job.  Because a QAOA cost layer is a product of mutually
-commuting CPHASE terms, two jobs whose edge lists differ only in term order
-(or in the endpoint order within a term) describe the same compilation
-problem; the canonical form sorts normalised ``(min, max, weight)`` triples
-so they hash identically.  Everything that *does* change the output —
-device, method, packing limit, router, seed, calibration, level parameters —
-feeds the digest, so distinct configurations never collide.
+* :class:`CompileJob` — one QAOA program, one target device, one flow
+  configuration;
+* :class:`~repro.service.evaluate.EvalJob` — a compile job plus the
+  evaluation knobs (``r0``/``rh``/ARG through the fast path);
+* :class:`~repro.service.optimize.OptimizeJob` — a problem plus the
+  variational-search knobs.
 
-A :class:`JobResult` carries the outcome: the cache key, the serialised
-compiled circuit (the :mod:`repro.compiler.serialize` JSON format wrapped in
-a small metrics envelope), headline metrics, and structured error
-information when the job failed.  Failed jobs are data, not exceptions —
-a batch always yields one result per job.
+Jobs are plain data — picklable across process boundaries and
+serialisable to JSON lines — so the batch engine can fan them out and the
+cache can address their results by content.  :func:`execute_job` runs a
+job of any kind.
+
+**Content addressing.**  :meth:`Job.content_hash` digests a kind's
+canonical form, which carries the kind's own version constant
+(:data:`HASH_VERSION` for compile jobs).  Because a QAOA cost layer is a
+product of mutually commuting CPHASE terms, two compile jobs whose edge
+lists differ only in term order (or in the endpoint order within a term)
+describe the same compilation problem; the canonical form sorts
+normalised ``(min, max, weight)`` triples so they hash identically.
+Everything that *does* change the output — device, method, packing
+limit, router, seed, calibration, level parameters — feeds the digest,
+so distinct configurations never collide.
+
+A :class:`JobResult` carries the outcome: the cache key, the result
+envelope (the :mod:`repro.compiler.serialize` JSON document, or
+``null`` for eval and optimize jobs, wrapped with the metrics), headline
+metrics, and structured error information when the job failed.  Failed
+jobs are data, not exceptions — a batch always yields one result per
+job.
 """
 
 from __future__ import annotations
@@ -27,7 +39,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Union
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +52,7 @@ from ..store.registry import FingerprintRegistry
 
 __all__ = [
     "HASH_VERSION",
+    "Job",
     "CompileJob",
     "JobResult",
     "execute_job",
@@ -69,8 +83,34 @@ def method_label(method: MethodSpec) -> str:
     return str(method)
 
 
+class Job:
+    """The base of every job kind: owns the content hash, and
+    :func:`execute_job` runs any kind.
+
+    A kind supplies ``canonical()`` (the hash pre-image, tagged with the
+    kind's own version constant), ``_run()`` (the work) and the record
+    fields :meth:`JobResult.to_record` reads (``job_id``, ``device``,
+    ``method``, ``packing_limit``, ``seed``).
+    """
+
+    def canonical(self) -> dict:
+        raise NotImplementedError
+
+    def content_hash(self) -> str:
+        """Hex SHA-256 of the canonical form (the cache key)."""
+        text = json.dumps(
+            self.canonical(), sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def _run(self) -> Tuple[Optional[dict], dict, List[str]]:
+        """Do the work: ``(compiled document or None, metrics,
+        warnings)``."""
+        raise NotImplementedError
+
+
 @dataclasses.dataclass
-class CompileJob:
+class CompileJob(Job):
     """One compilation request.
 
     Attributes:
@@ -147,15 +187,8 @@ class CompileJob:
             "calibration": _calibration_canonical(self.calibration),
         }
 
-    def content_hash(self) -> str:
-        """Hex SHA-256 of the canonical form (the cache key)."""
-        text = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
     # ------------------------------------------------------------------
-    # resolution
+    # resolution and execution
     # ------------------------------------------------------------------
     def resolve_device(self) -> CouplingGraph:
         """The concrete coupling graph this job targets."""
@@ -185,6 +218,44 @@ class CompileJob:
                     device, rng=np.random.default_rng(int(spec["seed"]))
                 )
         raise ValueError(f"unsupported calibration spec {spec!r}")
+
+    def _compile(self):
+        """``(compiled, calibration)``: the program compiled against the
+        job's environment, with the calibration repairs prepended to the
+        compiled result's warnings so the serialised document (and thus
+        the cache) carries the full degradation story."""
+        from ..compiler.flow import compile_with_method
+
+        calibration, warnings, target = _job_environment(self)
+        compiled = compile_with_method(
+            self.program,
+            target,
+            self.method,
+            packing_limit=self.packing_limit,
+            rng=np.random.default_rng(self.seed),
+            router=self.router,
+        )
+        compiled.warnings = list(warnings) + compiled.warnings
+        return compiled, calibration
+
+    def _run(self):
+        from ..compiler.metrics import measure_compiled
+        from ..compiler.serialize import to_document
+
+        compiled, calibration = self._compile()
+        measured = measure_compiled(compiled, calibration=calibration)
+        metrics = {
+            "depth": measured.depth,
+            "gate_count": measured.gate_count,
+            "cnot_count": measured.cnot_count,
+            "swap_count": measured.swap_count,
+            "compile_time": measured.compile_time,
+            "success_probability": measured.success_probability,
+            "warnings": list(compiled.warnings),
+            "pass_trace": [r.to_dict() for r in compiled.pass_trace],
+            "target_fingerprint": compiled.target_fingerprint,
+        }
+        return to_document(compiled), metrics, list(compiled.warnings)
 
 
 def resolve_job_environment(job: CompileJob):
@@ -245,7 +316,7 @@ class JobResult:
             degraded mode.
     """
 
-    job: CompileJob
+    job: Job
     key: str
     ok: bool
     cached: bool = False
@@ -294,13 +365,10 @@ class JobResult:
 # ----------------------------------------------------------------------
 # execution (runs in worker processes — keep module-level and picklable)
 # ----------------------------------------------------------------------
-def execute_job(job: CompileJob) -> JobResult:
-    """Compile one job synchronously; never raises for job-level faults."""
-    import time
-
-    from ..compiler.flow import compile_with_method
-    from ..compiler.metrics import measure_compiled
-    from ..compiler.serialize import to_document
+def execute_job(job: Job) -> JobResult:
+    """Run one job of any kind synchronously; never raises for job-level
+    faults.  ``KeyError``/``ValueError`` (the job itself is bad) fail it
+    ``invalid``; anything else fails it ``exception``."""
     from ..store import flatten_store_events, store_stats
 
     key = ""
@@ -308,67 +376,38 @@ def execute_job(job: CompileJob) -> JobResult:
     store_before = store_stats()
     try:
         key = job.content_hash()
-        calibration, warnings, target = _job_environment(job)
-        compiled = compile_with_method(
-            job.program,
-            target,
-            job.method,
-            packing_limit=job.packing_limit,
-            rng=np.random.default_rng(job.seed),
-            router=job.router,
-        )
-        # Repair provenance rides on the compiled result so the serialised
-        # document (and thus the cache) carries the full degradation story.
-        compiled.warnings = list(warnings) + compiled.warnings
-        measured = measure_compiled(compiled, calibration=calibration)
-        metrics = {
-            "depth": measured.depth,
-            "gate_count": measured.gate_count,
-            "cnot_count": measured.cnot_count,
-            "swap_count": measured.swap_count,
-            "compile_time": measured.compile_time,
-            "success_probability": measured.success_probability,
-            "warnings": list(compiled.warnings),
-            "pass_trace": [r.to_dict() for r in compiled.pass_trace],
-            "target_fingerprint": compiled.target_fingerprint,
-        }
+        document, metrics, warnings = job._run()
         # Per-job registry activity rides in the envelope so the engine
         # sees what happened inside pool workers.
         events = flatten_store_events(store_before, store_stats())
         if events:
             metrics["store_events"] = events
-        # The document goes into the envelope as a dict: the same bytes as
-        # encode_envelope(to_json(compiled), metrics), encoded once.
-        payload = _envelope_text(to_document(compiled), metrics)
+        # One encode: a compiled document goes in as a dict, the same bytes
+        # as encode_envelope(to_json(compiled), metrics).
+        payload = _envelope_text(document, metrics)
     except (KeyError, ValueError) as exc:
-        return JobResult(
-            job=job,
-            key=key,
-            ok=False,
-            attempts=1,
-            latency=time.perf_counter() - start,
-            error=str(exc),
-            error_kind="invalid",
-        )
+        error, kind = str(exc), "invalid"
     except Exception as exc:  # noqa: BLE001 — jobs degrade, batches survive
+        error, kind = f"{type(exc).__name__}: {exc}", "exception"
+    else:
         return JobResult(
             job=job,
             key=key,
-            ok=False,
+            ok=True,
             attempts=1,
             latency=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-            error_kind="exception",
+            metrics=metrics,
+            payload=payload,
+            warnings=warnings,
         )
     return JobResult(
         job=job,
         key=key,
-        ok=True,
+        ok=False,
         attempts=1,
         latency=time.perf_counter() - start,
-        metrics=metrics,
-        payload=payload,
-        warnings=list(compiled.warnings),
+        error=error,
+        error_kind=kind,
     )
 
 
@@ -601,13 +640,19 @@ def job_from_dict(spec: dict) -> CompileJob:
 
 def load_jobs_jsonl(lines: Sequence[str]) -> List[CompileJob]:
     """Parse a JSONL job file (blank lines and ``#`` comments skipped)."""
+    return _load_jsonl(lines, job_from_dict)
+
+
+def _load_jsonl(lines: Sequence[str], parse: Callable[[dict], Job]) -> list:
+    """One job per non-blank, non-``#`` line through ``parse``; a bad line
+    raises ``ValueError`` naming its number."""
     jobs = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            jobs.append(job_from_dict(json.loads(line)))
+            jobs.append(parse(json.loads(line)))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"bad job on line {lineno}: {exc}") from exc
     return jobs

@@ -3,10 +3,11 @@
 Compile jobs ship circuits, eval jobs ship ARG numbers — but a real
 QAOA deployment runs the *classical loop*: pick angles, score them on
 the quantum side, iterate.  An :class:`OptimizeJob` makes that loop a
-first-class, content-addressed workload: a problem (any
+content-addressed :class:`~repro.service.job.Job` kind: a problem (any
 :class:`~repro.qaoa.frontend.Problem` — MaxCut, Ising, or QUBO) crossed
 with the optimizer knobs (levels, COBYLA / Nelder-Mead, iteration bound,
-restart-population size, seed), executed through
+restart-population size, seed), run by
+:func:`~repro.service.job.execute_job` through
 :func:`repro.qaoa.optimizer.optimize_problem` — whose restart population
 is scored in one pass of the batched angle-grid fast path
 (:func:`repro.sim.fastpath.expectation_batch`) — and flowed through the
@@ -16,7 +17,7 @@ telemetry (``optimize_ms.*`` per-stage histograms next to the compiler's
 
 The cache key is :data:`OPTIMIZE_HASH_VERSION` over the canonical
 problem form (:func:`~repro.qaoa.frontend.problem_canonical` — stable
-under term reordering) × every optimizer knob; results reuse the
+under term reordering) × every optimizer knob; results use the
 ``compiled: null`` envelope, so format-version invalidation and the
 sharded cache tiers apply unchanged.
 """
@@ -24,14 +25,13 @@ sharded cache tiers apply unchanged.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import time
 from typing import List, Optional, Sequence
 
 from ..qaoa.frontend import Problem, problem_canonical, problem_from_spec
-from .engine import BatchEngine, BatchReport
-from .job import JobResult, encode_envelope
+from .job import Job, _load_jsonl, execute_job
+
+# Not called here: perfbench/bench_trace.py patches this module attribute.
+from .job import encode_envelope  # noqa: F401
 
 __all__ = [
     "OPTIMIZE_HASH_VERSION",
@@ -39,15 +39,16 @@ __all__ = [
     "execute_optimize_job",
     "load_optimize_jobs_jsonl",
     "optimize_job_from_dict",
-    "run_optimize_batch",
 ]
 
 #: Bumped whenever the optimize canonical form changes.
 OPTIMIZE_HASH_VERSION = 1
 
+execute_optimize_job = execute_job  # perfbench passes this name as execute_fn
+
 
 @dataclasses.dataclass
-class OptimizeJob:
+class OptimizeJob(Job):
     """One bounded variational-search request.
 
     Attributes:
@@ -73,15 +74,14 @@ class OptimizeJob:
     job_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Rejected where the job is built: a problem that cannot hash would
-        # otherwise raise out of BatchEngine.run and lose the whole batch.
+        # Rejected where the job is built, so the bad JSONL line is named.
         if not isinstance(self.problem, Problem):
             raise ValueError(
                 f"problem must be a repro.qaoa.frontend.Problem, got "
                 f"{type(self.problem).__name__}"
             )
 
-    # Proxies so JobResult.to_record works on any job flavour without
+    # Proxies so JobResult.to_record works on any job kind without
     # caring which one it holds.  Optimization runs on
     # the exact logical fast path — there is no physical device.
     @property
@@ -117,34 +117,18 @@ class OptimizeJob:
             "seed": int(self.opt_seed),
         }
 
-    def content_hash(self) -> str:
-        """Hex SHA-256 of the canonical form (the cache key)."""
-        text = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    def _run(self):
+        from ..qaoa.optimizer import optimize_problem
+        from ..sim.fastpath import cost_diagonal
 
-
-def execute_optimize_job(job: OptimizeJob) -> JobResult:
-    """Run one bounded variational loop synchronously; never raises for
-    job-level faults (mirrors :func:`~repro.service.job.execute_job`)."""
-    from ..qaoa.optimizer import optimize_problem
-    from ..sim.fastpath import cost_diagonal
-    from ..store import flatten_store_events, store_stats
-
-    key = ""
-    start = time.perf_counter()
-    store_before = store_stats()
-    try:
-        key = job.content_hash()
-        diagonal = cost_diagonal(job.problem)
+        diagonal = cost_diagonal(self.problem)
         result = optimize_problem(
-            job.problem,
-            p=job.p,
-            optimizer=job.optimizer,
-            maxiter=job.maxiter,
-            restarts=job.restarts,
-            seed=job.opt_seed,
+            self.problem,
+            p=self.p,
+            optimizer=self.optimizer,
+            maxiter=self.maxiter,
+            restarts=self.restarts,
+            seed=self.opt_seed,
             diagonal=diagonal,
         )
         metrics = {
@@ -155,60 +139,18 @@ def execute_optimize_job(job: OptimizeJob) -> JobResult:
             "approximation_ratio": result.approximation_ratio,
             "evaluations": result.evaluations,
             "optimizer": result.optimizer,
-            "p": job.p,
-            "maxiter": job.maxiter,
-            "restarts": job.restarts,
-            "num_qubits": job.num_qubits,
+            "p": self.p,
+            "maxiter": self.maxiter,
+            "restarts": self.restarts,
+            "num_qubits": self.num_qubits,
             "optimize_trace": [
                 {"name": name, "seconds": seconds}
                 for name, seconds in result.timings.items()
             ],
-            "problem_fingerprint": job.problem.content_fingerprint(),
+            "problem_fingerprint": self.problem.content_fingerprint(),
             "diagonal_fingerprint": diagonal.fingerprint,
         }
-        events = flatten_store_events(store_before, store_stats())
-        if events:
-            metrics["store_events"] = events
-        payload = encode_envelope("null", metrics)
-    except (KeyError, ValueError) as exc:
-        return JobResult(
-            job=job,
-            key=key,
-            ok=False,
-            attempts=1,
-            latency=time.perf_counter() - start,
-            error=str(exc),
-            error_kind="invalid",
-        )
-    except Exception as exc:  # noqa: BLE001 — jobs degrade, batches survive
-        return JobResult(
-            job=job,
-            key=key,
-            ok=False,
-            attempts=1,
-            latency=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-            error_kind="exception",
-        )
-    return JobResult(
-        job=job,
-        key=key,
-        ok=True,
-        attempts=1,
-        latency=time.perf_counter() - start,
-        metrics=metrics,
-        payload=payload,
-    )
-
-
-def run_optimize_batch(
-    jobs: Sequence[OptimizeJob], **engine_kwargs
-) -> BatchReport:
-    """One-shot convenience: a :class:`BatchEngine` wired to
-    :func:`execute_optimize_job` (cache, retries, telemetry all apply)."""
-    return BatchEngine(
-        execute_fn=execute_optimize_job, **engine_kwargs
-    ).run(jobs)
+        return None, metrics, []
 
 
 # ----------------------------------------------------------------------
@@ -261,13 +203,4 @@ def optimize_job_from_dict(spec: dict) -> OptimizeJob:
 def load_optimize_jobs_jsonl(lines: Sequence[str]) -> List[OptimizeJob]:
     """Parse a JSONL optimize-job file (blank lines and ``#`` comments
     skipped)."""
-    jobs = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            jobs.append(optimize_job_from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"bad job on line {lineno}: {exc}") from exc
-    return jobs
+    return _load_jsonl(lines, optimize_job_from_dict)

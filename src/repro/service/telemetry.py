@@ -6,9 +6,7 @@ of signal:
 * **counters** — monotone event counts (jobs completed, retries, cache
   hits, timeouts);
 * **histograms** — latency-style value streams summarised by count, mean,
-  min/max and the p50/p95/p99 percentiles operators actually alert on;
-* **gauges** — last-written point-in-time values (resident store bytes,
-  registry sizes) where only the current level matters.
+  min/max and the p50/p95/p99 percentiles operators actually alert on.
 
 Everything is process-local and lock-protected; :meth:`Telemetry.snapshot`
 returns a plain nested dict (JSON-safe) and :meth:`Telemetry.render`
@@ -108,20 +106,10 @@ class Telemetry:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._gauges: Dict[str, float] = {}
 
     def incr(self, name: str, by: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + by
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Record a point-in-time level (last write wins)."""
-        with self._lock:
-            self._gauges[name] = float(value)
-
-    def gauge(self, name: str) -> float:
-        with self._lock:
-            return self._gauges.get(name, 0.0)
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
@@ -137,16 +125,13 @@ class Telemetry:
     def snapshot(self) -> dict:
         """All counters and histogram summaries as one JSON-safe dict."""
         with self._lock:
-            snap = {
+            return {
                 "counters": dict(sorted(self._counters.items())),
                 "histograms": {
                     name: hist.summary()
                     for name, hist in sorted(self._histograms.items())
                 },
             }
-            if self._gauges:
-                snap["gauges"] = dict(sorted(self._gauges.items()))
-            return snap
 
     def render(self) -> str:
         """Text tables for terminal output."""
@@ -157,9 +142,6 @@ class Telemetry:
         if snap["counters"]:
             rows = [[k, v] for k, v in snap["counters"].items()]
             blocks.append(format_table(["counter", "value"], rows))
-        if snap.get("gauges"):
-            rows = [[k, v] for k, v in snap["gauges"].items()]
-            blocks.append(format_table(["gauge", "value"], rows))
         if snap["histograms"]:
             rows = [
                 [

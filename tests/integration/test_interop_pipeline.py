@@ -9,8 +9,8 @@ import pytest
 from repro.cli import main
 from repro.circuits.qasm import loads
 from repro.compiler import compile_with_method, from_json, to_json
-from repro.compiler.flow import run_incremental_flow
 from repro.compiler.ic import IncrementalCompiler
+from repro.compiler.pipeline import PipelineSpec, run_incremental_flow
 from repro.compiler.qaim import qaim_placement
 from repro.hardware import ring_device
 from repro.qaoa import MaxCutProblem
@@ -98,17 +98,15 @@ class TestRunIncrementalFlowPublicApi:
         # Final mapping covers all logical qubits.
         assert sorted(final_mapping) == [0, 1, 2, 3, 4]
 
-    def test_flow_matches_compile_qaoa(self):
-        """run_incremental_flow is exactly what compile_qaoa(ordering='ic')
+    def test_flow_matches_ic_spec(self):
+        """run_incremental_flow is exactly what a qaim+ic PipelineSpec
         executes — same circuit for the same seeds."""
-        from repro.compiler.flow import compile_qaoa
-
         device = ring_device(8)
         problem = MaxCutProblem(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         program = problem.to_program([0.4], [0.2])
 
-        full = compile_qaoa(
-            program, device, placement="qaim", ordering="ic",
+        full = compile_with_method(
+            program, device, PipelineSpec(placement="qaim", ordering="ic"),
             rng=np.random.default_rng(7),
         )
         # Reproduce manually with the same seed stream.

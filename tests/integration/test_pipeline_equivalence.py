@@ -21,9 +21,10 @@ import pytest
 
 from repro.compiler import compile_with_method
 from repro.compiler.backend import ConventionalBackend
-from repro.compiler.flow import METHOD_PRESETS, PLACEMENTS, run_incremental_flow
+from repro.compiler.flow import METHOD_PRESETS, PLACEMENTS
 from repro.compiler.ic import IncrementalCompiler
 from repro.compiler.ip import parallelize
+from repro.compiler.pipeline import run_incremental_flow
 from repro.compiler.qaim import QAIMConfig, qaim_placement
 from repro.compiler.sabre import SabreBackend
 from repro.compiler.vic import resolve_vic_distances

@@ -100,6 +100,39 @@ class TestCompile:
         assert strip_timing(a) == strip_timing(b)
 
 
+class TestAutoCalibration:
+    @pytest.mark.parametrize("device", ["ibmq_20_tokyo", "ibmq_16_melbourne"])
+    def test_vic_compiles_against_the_auto_calibration(self, device):
+        """`repro compile --method vic` compiles against the calibration
+        `calibration="auto"` and a compile job draw for the same seed."""
+        import json
+
+        import repro
+        from repro.service import CompileJob, execute_job
+
+        code, text = _run(
+            ["compile", "--method", "vic", "--device", device, "--seed", "5",
+             "--json"]
+        )
+        assert code == 0
+        cli = json.loads(text)["result"]["target_fingerprint"]
+        problem = repro.MaxCutProblem(3, [(0, 1), (1, 2)])
+        api = repro.compile(
+            problem, target=device, method="vic", calibration="auto", seed=5
+        )
+        job = execute_job(
+            CompileJob(
+                program=problem.to_program([0.7], [0.35]),
+                device=device,
+                method="vic",
+                seed=5,
+                calibration="auto",
+            )
+        )
+        assert cli == api.compiled.target_fingerprint
+        assert cli == job.metrics["target_fingerprint"]
+
+
 class TestExperiment:
     def test_sec6(self):
         code, text = _run(["experiment", "sec6", "--instances", "3"])

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compiler.flow import (
-    METHOD_PRESETS,
-    compile_qaoa,
-    compile_with_method,
-)
+from repro.compiler.flow import METHOD_PRESETS, compile_with_method
+from repro.compiler.pipeline import PipelineSpec
 from repro.hardware import (
     ibmq_16_melbourne,
     ibmq_20_tokyo,
@@ -55,8 +52,8 @@ class TestStructure:
     def test_gate_census(self, ordering, program, rng):
         """Every flow must emit exactly n H, |E| CPHASE, n RX, n measures
         (plus SWAPs)."""
-        compiled = compile_qaoa(
-            program, ibmq_20_tokyo(), ordering=ordering, rng=rng
+        compiled = compile_with_method(
+            program, ibmq_20_tokyo(), PipelineSpec(ordering=ordering), rng=rng
         )
         ops = compiled.circuit.count_ops()
         assert ops["h"] == 4
@@ -65,8 +62,8 @@ class TestStructure:
         assert ops["measure"] == 4
 
     def test_measurements_at_final_mapping(self, program, rng):
-        compiled = compile_qaoa(
-            program, linear_device(5), ordering="ic", rng=rng
+        compiled = compile_with_method(
+            program, linear_device(5), PipelineSpec(ordering="ic"), rng=rng
         )
         measured = {
             i.qubits[0] for i in compiled.circuit if i.name == "measure"
@@ -75,24 +72,24 @@ class TestStructure:
 
     def test_multi_level_program(self, k4_problem, rng):
         program = k4_problem.to_program([0.5, 0.2], [0.3, 0.1])
-        compiled = compile_qaoa(
-            program, ibmq_20_tokyo(), ordering="ic", rng=rng
+        compiled = compile_with_method(
+            program, ibmq_20_tokyo(), PipelineSpec(ordering="ic"), rng=rng
         )
         ops = compiled.circuit.count_ops()
         assert ops["cphase"] == 12  # 6 edges x 2 levels
         assert ops["rx"] == 8
 
     def test_swap_count_matches_circuit(self, program, rng):
-        compiled = compile_qaoa(
-            program, linear_device(6), ordering="random", rng=rng
+        compiled = compile_with_method(
+            program, linear_device(6), PipelineSpec(ordering="random"), rng=rng
         )
         assert compiled.swap_count == compiled.circuit.count_ops().get(
             "swap", 0
         )
 
     def test_initial_mapping_is_injective(self, program, rng):
-        compiled = compile_qaoa(
-            program, ibmq_20_tokyo(), placement="random", rng=rng
+        compiled = compile_with_method(
+            program, ibmq_20_tokyo(), PipelineSpec(placement="random"), rng=rng
         )
         values = list(compiled.initial_mapping.values())
         assert len(set(values)) == len(values) == 4
@@ -101,26 +98,32 @@ class TestStructure:
 class TestArgumentValidation:
     def test_vic_requires_calibration(self, program, rng):
         with pytest.raises(ValueError, match="requires calibration"):
-            compile_qaoa(program, ibmq_16_melbourne(), ordering="vic", rng=rng)
+            compile_with_method(
+                program, ibmq_16_melbourne(), PipelineSpec(ordering="vic"), rng=rng
+            )
 
     def test_vic_calibration_device_mismatch(self, program, rng):
         cal = uniform_calibration(linear_device(5))
         with pytest.raises(ValueError, match="does not match"):
-            compile_qaoa(
+            compile_with_method(
                 program,
                 ibmq_16_melbourne(),
-                ordering="vic",
+                PipelineSpec(ordering="vic"),
                 calibration=cal,
                 rng=rng,
             )
 
     def test_unknown_placement(self, program, rng):
         with pytest.raises(ValueError, match="unknown placement"):
-            compile_qaoa(program, ibmq_20_tokyo(), placement="magic", rng=rng)
+            compile_with_method(
+                program, ibmq_20_tokyo(), PipelineSpec(placement="magic"), rng=rng
+            )
 
     def test_unknown_ordering(self, program, rng):
         with pytest.raises(ValueError, match="unknown ordering"):
-            compile_qaoa(program, ibmq_20_tokyo(), ordering="magic", rng=rng)
+            compile_with_method(
+                program, ibmq_20_tokyo(), PipelineSpec(ordering="magic"), rng=rng
+            )
 
 
 class TestDeterminism:
@@ -144,8 +147,9 @@ class TestCrosstalkIntegration:
         device = fully_connected_device(4)
         # On all-to-all hardware IP packs CPHASEs side by side; declare two
         # co-scheduled couplings as conflicting.
-        baseline = compile_qaoa(
-            program, device, ordering="ip", rng=np.random.default_rng(3)
+        baseline = compile_with_method(
+            program, device, PipelineSpec(ordering="ip"),
+            rng=np.random.default_rng(3),
         )
         from repro.circuits import asap_layers
 
@@ -158,10 +162,10 @@ class TestCrosstalkIntegration:
                 conflict = (edges[0], edges[1])
                 break
         assert conflict is not None
-        mitigated = compile_qaoa(
+        mitigated = compile_with_method(
             program,
             device,
-            ordering="ip",
+            PipelineSpec(ordering="ip"),
             rng=np.random.default_rng(3),
             crosstalk_conflicts=[conflict],
         )
@@ -169,12 +173,12 @@ class TestCrosstalkIntegration:
         mitigated.validate()
 
     def test_no_conflicts_means_no_change(self, program, rng):
-        a = compile_qaoa(
-            program, ibmq_20_tokyo(), ordering="ic",
+        a = compile_with_method(
+            program, ibmq_20_tokyo(), PipelineSpec(ordering="ic"),
             rng=np.random.default_rng(5),
         )
-        b = compile_qaoa(
-            program, ibmq_20_tokyo(), ordering="ic",
+        b = compile_with_method(
+            program, ibmq_20_tokyo(), PipelineSpec(ordering="ic"),
             rng=np.random.default_rng(5), crosstalk_conflicts=[],
         )
         assert a.circuit.instructions == b.circuit.instructions
@@ -182,11 +186,10 @@ class TestCrosstalkIntegration:
 
 class TestPackingLimit:
     def test_limit_one_serialises_cphases(self, program, rng):
-        compiled = compile_qaoa(
+        compiled = compile_with_method(
             program,
             ibmq_20_tokyo(),
-            ordering="ic",
-            packing_limit=1,
+            PipelineSpec(ordering="ic", packing_limit=1),
             rng=rng,
         )
         compiled.validate()
@@ -198,12 +201,12 @@ class TestPackingLimit:
         )
         program = problem.to_program([0.4], [0.2])
         dev = ibmq_20_tokyo()
-        loose = compile_qaoa(
-            program, dev, ordering="ic",
+        loose = compile_with_method(
+            program, dev, PipelineSpec(ordering="ic"),
             rng=np.random.default_rng(0),
         )
-        tight = compile_qaoa(
-            program, dev, ordering="ic", packing_limit=1,
+        tight = compile_with_method(
+            program, dev, PipelineSpec(ordering="ic", packing_limit=1),
             rng=np.random.default_rng(0),
         )
         assert tight.depth() >= loose.depth()

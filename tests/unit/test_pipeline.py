@@ -12,7 +12,6 @@ from repro.compiler import (
     METHOD_PRESETS,
     PipelineSpec,
     build_pipeline,
-    compile_spec,
     compile_with_method,
     from_json,
     to_json,
@@ -91,7 +90,7 @@ class TestPipelineAssembly:
     def test_lower_spec_appends_peephole(self):
         program = PROBLEM.to_program([0.7], [0.35])
         spec = METHOD_PRESETS["ic"].replace(lower=True)
-        compiled = compile_spec(
+        compiled = compile_with_method(
             program, ibmq_20_tokyo(), spec, rng=np.random.default_rng(0)
         )
         assert compiled.pass_trace[-1].name == "lower/peephole"
@@ -219,7 +218,7 @@ class TestServiceTrace:
             for i in range(3)
         ]
         report = run_batch(jobs)
-        summary = report.pass_summary()
+        summary = report.stage_summary("pass")
         assert set(summary) == {"place/qaim", "route/ic"}
         for stats in summary.values():
             assert stats["count"] == 3

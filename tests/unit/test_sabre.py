@@ -157,10 +157,12 @@ class TestAsIncrementalBackend:
         assert compiled.circuit.count_ops()["cphase"] == 5
 
     def test_unknown_router_rejected(self):
-        from repro.compiler import compile_qaoa
+        from repro.compiler import PipelineSpec, compile_with_method
         from repro.qaoa import MaxCutProblem
 
         problem = MaxCutProblem(3, [(0, 1), (1, 2)])
         program = problem.to_program([0.5], [0.3])
         with pytest.raises(ValueError, match="unknown router"):
-            compile_qaoa(program, ring_device(4), router="magic")
+            compile_with_method(
+                program, ring_device(4), PipelineSpec(router="magic")
+            )

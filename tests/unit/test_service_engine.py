@@ -13,10 +13,10 @@ from repro.service import (
     BatchEngine,
     CompileJob,
     EvalJob,
+    OptimizeJob,
     ResultCache,
     execute_job,
     run_batch,
-    run_eval_batch,
 )
 from repro.service import job as job_module
 from repro.service.job import decode_envelope, encode_envelope
@@ -241,8 +241,8 @@ class TestPooled:
         clear_diagonal_registry()
         job_module._ENVIRONMENTS.clear()
         pooled = run_batch(jobs, workers=2).results
-        pooled += run_eval_batch(eval_jobs, workers=2).results
-        serial = run_batch(jobs).results + run_eval_batch(eval_jobs).results
+        pooled += run_batch(eval_jobs, workers=2).results
+        serial = run_batch(jobs).results + run_batch(eval_jobs).results
         assert [r.ok for r in pooled] == [True] * 8
         for a, b in zip(serial, pooled):
             assert a.key == b.key
@@ -462,3 +462,83 @@ class TestPre2Envelopes:
         assert json.loads(record["payload"])["metrics"]["placement"] == (
             metrics["placement"]
         )
+
+
+def _eval_job(**knobs):
+    return EvalJob(
+        CompileJob(
+            program=_program(),
+            device="ibmq_16_melbourne",
+            method="vic",
+            calibration="auto",
+        ),
+        shots=256,
+        trajectories=2,
+        **knobs,
+    )
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pooled"])
+class TestMixedKinds:
+    def test_one_batch_runs_every_kind(self, workers):
+        """The default engine runs compile, eval and optimize jobs side by
+        side through the one executor."""
+        jobs = [
+            CompileJob(program=_program(), device="ibmq_20_tokyo", job_id="c"),
+            _eval_job(job_id="e"),
+            OptimizeJob(
+                problem=MaxCutProblem(4, [(0, 1), (1, 2), (2, 3)]),
+                maxiter=30,
+                restarts=2,
+                job_id="o",
+            ),
+        ]
+        report = run_batch(jobs, workers=workers)
+        assert [r.ok for r in report.results] == [True] * 3, [
+            r.error for r in report.results
+        ]
+        compiled, evaluated, optimized = report.results
+        assert json.loads(compiled.payload)["compiled"] is not None
+        assert json.loads(evaluated.payload)["compiled"] is None
+        assert "arg" in evaluated.metrics
+        assert "expectation" in optimized.metrics
+        assert [r.key for r in report.results] == [
+            job.content_hash() for job in jobs
+        ]
+        for family in ("pass", "eval", "optimize"):
+            assert report.stage_summary(family)
+
+
+class TestUnhashableJobs:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CompileJob(program=None, device="ibmq_20_tokyo"),
+            lambda: _eval_job(noise_scale="x"),
+            lambda: _eval_job(t2_ns="x"),
+            lambda: EvalJob(None),
+        ],
+        ids=["compile-no-program", "eval-noise-scale", "eval-t2", "eval-no-compile"],
+    )
+    def test_unhashable_job_is_an_invalid_result(self, build):
+        """A job whose canonical form raises fails as data: no cache
+        lookup, no execution, no retry — and its batch-mates still run."""
+        (good,) = _jobs(1)
+        cache = ResultCache()
+        executed = []
+
+        def execute(job):
+            executed.append(job)
+            return execute_job(job)
+
+        engine = BatchEngine(retries=3, cache=cache, execute_fn=execute)
+        report = engine.run([good, build()])
+        ok, failed = report.results
+        assert ok.ok
+        assert (failed.ok, failed.key, failed.error_kind, failed.attempts) == (
+            False, "", "invalid", 0,
+        )
+        assert failed.error
+        assert executed == [good]
+        assert cache.stats.misses == 1
+        assert report.telemetry.counter("jobs.failed.invalid") == 1

@@ -9,7 +9,7 @@ from repro.service import (
     EvalJob,
     ResultCache,
     execute_eval_job,
-    run_eval_batch,
+    run_batch,
 )
 from repro.service import evaluate as evaluate_module
 from repro.service import job as job_module
@@ -129,7 +129,7 @@ class TestEvalEnvironmentMemo:
         monkeypatch.setattr(evaluate_module, "resolve_job_environment", counting)
         job_module._ENVIRONMENTS.clear()
         try:
-            report = run_eval_batch(
+            report = run_batch(
                 [_job(eval_seed=seed) for seed in range(3)], cache=None
             )
         finally:
@@ -141,12 +141,12 @@ class TestEvalEnvironmentMemo:
 class TestEvalBatch:
     def test_cache_round_trip(self, tmp_path):
         jobs = [_job(job_id="a"), _job(job_id="b", shots=1024)]
-        cold = run_eval_batch(
+        cold = run_batch(
             jobs, cache=ResultCache(directory=str(tmp_path))
         )
         assert len(cold.ok) == 2 and not cold.failed
         assert all(not r.cached for r in cold.results)
-        warm = run_eval_batch(
+        warm = run_batch(
             jobs, cache=ResultCache(directory=str(tmp_path))
         )
         assert len(warm.ok) == 2
@@ -154,14 +154,14 @@ class TestEvalBatch:
         for before, after in zip(cold.results, warm.results):
             assert before.metrics["arg"] == after.metrics["arg"]
 
-    def test_eval_summary_histograms(self):
-        report = run_eval_batch([_job()], cache=None)
-        stages = report.eval_summary()
+    def test_eval_stage_summary_histograms(self):
+        report = run_batch([_job()], cache=None)
+        stages = report.stage_summary("eval")
         assert {"diagonal", "ideal", "noisy"} <= set(stages)
         assert all(s["count"] == 1 for s in stages.values())
 
     def test_to_record_shape(self):
-        report = run_eval_batch([_job(job_id="rec")], cache=None)
+        report = run_batch([_job(job_id="rec")], cache=None)
         record = report.results[0].to_record()
         assert record["id"] == "rec"
         assert record["ok"] is True

@@ -17,7 +17,7 @@ from repro.service import (
     execute_optimize_job,
     load_optimize_jobs_jsonl,
     optimize_job_from_dict,
-    run_optimize_batch,
+    run_batch,
 )
 
 # MIS on a 5-ring as a QUBO: reward each selected vertex, penalise
@@ -110,10 +110,10 @@ class TestExecute:
         assert result.key == ""
 
     def test_non_problem_rejected_where_the_job_is_built(self):
-        """A problem that cannot hash would raise out of the engine's
-        up-front hashing and lose the good jobs of its batch."""
+        """The constructor refuses a non-Problem, so a JSONL loader names
+        the bad line instead of the batch failing the job later."""
         with pytest.raises(ValueError, match="Problem"):
-            run_optimize_batch([_mis_job(), OptimizeJob(problem=object())])
+            run_batch([_mis_job(), OptimizeJob(problem=object())])
 
     def test_invalid_optimizer_is_invalid_not_exception(self):
         result = execute_optimize_job(_mis_job(optimizer="lbfgs"))
@@ -128,12 +128,12 @@ class TestBatchAndCache:
         cache = ResultCache(
             directory=str(tmp_path), expected_version=FORMAT_VERSION
         )
-        cold = run_optimize_batch(jobs, cache=cache)
+        cold = run_batch(jobs, cache=cache)
         assert not cold.failed and not cold.results[0].cached
         warm_cache = ResultCache(
             directory=str(tmp_path), expected_version=FORMAT_VERSION
         )
-        warm = run_optimize_batch(jobs, cache=warm_cache)
+        warm = run_batch(jobs, cache=warm_cache)
         assert warm.results[0].cached
         assert (
             warm.results[0].metrics["expectation"]
@@ -141,9 +141,9 @@ class TestBatchAndCache:
         )
         assert warm.summary()["cache_hit_rate"] > 0.0
 
-    def test_optimize_summary_stages(self):
-        report = run_optimize_batch([_mis_job()])
-        stages = report.optimize_summary()
+    def test_optimize_stage_summary(self):
+        report = run_batch([_mis_job()])
+        stages = report.stage_summary("optimize")
         assert set(stages) == {"population", "search"}
         for summary in stages.values():
             assert summary["count"] == 1

@@ -6,7 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.compiler.flow import compile_qaoa, compile_with_method
+from repro.compiler.flow import compile_with_method
+from repro.compiler.pipeline import PipelineSpec
 from repro.compiler.serialize import from_json, to_json
 from repro.hardware.devices import (
     figure6_calibration,
@@ -292,7 +293,7 @@ class TestCompileIntegration:
         assert loose.target_fingerprint == via_target.target_fingerprint
 
     def test_fingerprint_stamped_and_serialised(self):
-        compiled = compile_qaoa(_program(), figure6_device())
+        compiled = compile_with_method(_program(), figure6_device(), PipelineSpec())
         assert compiled.target_fingerprint
         restored = from_json(to_json(compiled))
         assert restored.target_fingerprint == compiled.target_fingerprint
@@ -305,11 +306,13 @@ class TestCompileIntegration:
         }
         target = intern_target(cal.coupling, cal)
         with pytest.raises(ValueError, match="conflicts"):
-            compile_qaoa(_program(), target, calibration=other)
+            compile_with_method(
+                _program(), target, PipelineSpec(), calibration=other
+            )
 
     def test_target_warnings_reach_nothing_implicitly(self):
         # Target warnings are provenance for the fingerprint; compiles
         # do not inject them into the result (callers own that policy).
         t = intern_target(figure6_device(), warnings=("degraded",))
-        compiled = compile_qaoa(_program(), t)
+        compiled = compile_with_method(_program(), t, PipelineSpec())
         assert "degraded" not in compiled.warnings
