@@ -1,23 +1,15 @@
-"""Batch-service throughput bench: cold vs warm cache, serial vs pooled.
+"""Batch-service throughput bench: cold vs warm cache.
 
 The service layer exists so the paper's Section V-H / Section VI guidance —
 recompile with many packing limits and methods, keep per-workload winners —
 stays cheap at production scale.  This bench drives a 200-job grid
 (ER instances × {IP, IC, VIC} × packing limits) through the batch engine
-four ways and reports jobs/sec:
+twice and reports jobs/sec:
 
-* serial, cold cache — the baseline every other row is normalised to;
-* serial, warm cache — immediate re-run, must be 100% cache hits;
-* pooled, cold cache — ``ProcessPoolExecutor`` fan-out;
-* pooled, warm cache — pool + hits (cache short-circuits before submit).
-
-The pooled speedup scales with available cores; the ≥2x acceptance bar
-only applies on ≥4-core hosts, so the assertion is conditioned on
-``os.cpu_count()``.  Warm-cache speedup is core-count independent and is
-asserted unconditionally.
+* serial, cold cache — the baseline;
+* serial, warm cache — immediate re-run, must be 100% cache hits and
+  more than twice as fast.
 """
-
-import os
 
 import numpy as np
 
@@ -28,7 +20,6 @@ from repro.experiments.reporting import format_table
 from repro.service import BatchEngine, CompileJob, ResultCache
 
 GRID_JOBS = 200
-POOL_WORKERS = min(4, os.cpu_count() or 1)
 
 
 def _build_grid(num_jobs=GRID_JOBS):
@@ -56,8 +47,8 @@ def _build_grid(num_jobs=GRID_JOBS):
     return jobs[:num_jobs]
 
 
-def _measure(jobs, workers, cache):
-    report = BatchEngine(workers=workers, cache=cache).run(jobs)
+def _measure(jobs, cache):
+    report = BatchEngine(cache=cache).run(jobs)
     assert not report.failed, [r.error for r in report.failed]
     summary = report.summary()
     return summary
@@ -65,21 +56,13 @@ def _measure(jobs, workers, cache):
 
 def _run():
     jobs = _build_grid()
-    serial_cache = ResultCache(expected_version=FORMAT_VERSION)
-    serial_cold = _measure(jobs, workers=0, cache=serial_cache)
-    serial_warm = _measure(jobs, workers=0, cache=serial_cache)
-    pooled_cache = ResultCache(expected_version=FORMAT_VERSION)
-    pooled_cold = _measure(jobs, workers=POOL_WORKERS, cache=pooled_cache)
-    pooled_warm = _measure(jobs, workers=POOL_WORKERS, cache=pooled_cache)
+    cache = ResultCache(expected_version=FORMAT_VERSION)
+    cold = _measure(jobs, cache=cache)
+    warm = _measure(jobs, cache=cache)
 
-    base = serial_cold["jobs_per_s"]
+    base = cold["jobs_per_s"]
     rows = []
-    for label, summary in (
-        ("serial / cold", serial_cold),
-        ("serial / warm", serial_warm),
-        ("pooled / cold", pooled_cold),
-        ("pooled / warm", pooled_warm),
-    ):
+    for label, summary in (("serial / cold", cold), ("serial / warm", warm)):
         rows.append(
             [
                 label,
@@ -96,18 +79,15 @@ def _run():
     )
     headline = {
         "jobs": float(len(jobs)),
-        "pool_workers": float(POOL_WORKERS),
-        "serial_cold_jobs_per_s": serial_cold["jobs_per_s"],
-        "warm_speedup": serial_warm["jobs_per_s"] / base,
-        "pooled_speedup": pooled_cold["jobs_per_s"] / base,
-        "warm_hit_fraction": serial_warm["cached"] / len(jobs),
+        "serial_cold_jobs_per_s": base,
+        "warm_speedup": warm["jobs_per_s"] / base,
+        "warm_hit_fraction": warm["cached"] / len(jobs),
     }
     return FigureResult(
         figure="service_throughput",
         description=(
             f"Batch service throughput on a {len(jobs)}-job grid "
-            f"(16-node ER x {{IP, IC, VIC}} x packing limits, tokyo; "
-            f"pool={POOL_WORKERS} workers)"
+            "(16-node ER x {IP, IC, VIC} x packing limits, tokyo)"
         ),
         table=table,
         headline=headline,
@@ -121,6 +101,3 @@ def test_service_throughput(benchmark, record_figure):
     # An immediate re-run must be pure cache hits and much faster.
     assert h["warm_hit_fraction"] == 1.0
     assert h["warm_speedup"] > 2.0
-    # The pooled ≥2x bar holds where the cores exist to back it.
-    if (os.cpu_count() or 1) >= 4:
-        assert h["pooled_speedup"] >= 2.0

@@ -9,14 +9,15 @@ Subcommands::
     python -m repro experiment fig9              # reproduce one figure
     python -m repro arg --nodes 10 --shots 4096  # ARG across methods
     python -m repro evaluate --nodes 10 --cache-dir .cache  # fast-path ARG
-    python -m repro batch jobs.jsonl -o out.jsonl --workers 4  # batch service
+    python -m repro batch jobs.jsonl -o out.jsonl  # batch service
     python -m repro chaos --nodes 8 --seed 0     # calibration-fault sweep
     python -m repro cache stats --dir .cache     # disk-cache maintenance
 
-Every command takes ``--seed`` for reproducibility; ``compile`` can dump the
-result as OpenQASM 2.0 with ``--qasm out.qasm`` or as machine-readable JSON
-with ``--json``, and ``--trace`` prints the per-pass pipeline trace (wall
-time, SWAPs inserted, depth/gate deltas for every compiler pass).
+Every command that compiles or samples takes ``--seed`` for
+reproducibility; ``compile`` can dump the result as OpenQASM 2.0 with
+``--qasm out.qasm`` or as machine-readable JSON with ``--json``, and
+``--trace`` prints the per-pass pipeline trace (wall time, SWAPs inserted,
+depth/gate deltas for every compiler pass).
 """
 
 from __future__ import annotations
@@ -242,15 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--out", default=None, help="write JSONL results here"
     )
     batch.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool size (0 = serial in-process)",
-    )
-    batch.add_argument(
-        "--timeout", type=float, default=None, help="per-job seconds"
-    )
-    batch.add_argument(
         "--retries", type=int, default=1, help="retries per transient failure"
     )
     batch.add_argument(
@@ -273,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="embed the serialised circuit in each result line",
     )
-    batch.add_argument("--seed", type=int, default=0, help="retry-jitter seed")
 
     chaos = sub.add_parser(
         "chaos",
@@ -645,7 +636,7 @@ def _cmd_evaluate(args, out) -> int:
         cache = ResultCache(
             directory=args.cache_dir, expected_version=FORMAT_VERSION
         )
-    report = run_batch(jobs, cache=cache, seed=args.seed)
+    report = run_batch(jobs, cache=cache)
     by_id = {r.job.job_id: r for r in report.results}
     if args.json:
         import json as _json
@@ -776,7 +767,7 @@ def _cmd_optimize(args, out) -> int:
         cache = ResultCache(
             directory=args.cache_dir, expected_version=FORMAT_VERSION
         )
-    report = run_batch(jobs, cache=cache, seed=args.seed)
+    report = run_batch(jobs, cache=cache)
 
     if args.json:
         import json as _json
@@ -855,14 +846,7 @@ def _cmd_batch(args, out) -> int:
             directory=args.cache_dir,
             expected_version=FORMAT_VERSION,
         )
-    engine = BatchEngine(
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-        cache=cache,
-        seed=args.seed,
-    )
-    report = engine.run(jobs)
+    report = BatchEngine(retries=args.retries, cache=cache).run(jobs)
 
     records = (
         r.to_record(include_payload=args.include_payload)

@@ -16,9 +16,9 @@ against.
 
 The candidate grid is submitted through the service layer's
 :class:`~repro.service.engine.BatchEngine`, so a portfolio gets result
-caching and process-pool parallelism for free: pass ``workers`` to fan the
-grid out, and/or a shared :class:`~repro.service.cache.ResultCache` so
-repeated portfolios over the same program only compile new configurations.
+caching for free: pass a shared :class:`~repro.service.cache.ResultCache`
+so repeated portfolios over the same program only compile new
+configurations.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ def compile_portfolio(
     objective: Callable[[CompiledQAOA], float] = depth_objective,
     calibration: Optional[Calibration] = None,
     router: str = "layered",
-    workers: int = 0,
     cache=None,
     engine=None,
 ) -> PortfolioResult:
@@ -113,7 +112,7 @@ def compile_portfolio(
     The grid is executed through the service layer's batch engine.  Each
     candidate compiles with ``np.random.default_rng(seed)``, exactly as the
     pre-service direct loop did, so a fixed-seed portfolio is reproducible
-    regardless of ``workers`` or cache state.
+    regardless of cache state.
 
     Args:
         program: The QAOA program.
@@ -128,12 +127,11 @@ def compile_portfolio(
         calibration: Needed when ``"vic"`` is among the methods or the
             objective is reliability-based.
         router: Backend router for every candidate.
-        workers: Batch-engine process-pool size (0 = serial in-process).
         cache: Optional :class:`~repro.service.cache.ResultCache` shared
             across portfolio calls.
         engine: A pre-configured
             :class:`~repro.service.engine.BatchEngine` to submit through
-            (overrides ``workers``/``cache``).
+            (overrides ``cache``).
 
     Returns:
         A :class:`PortfolioResult`; ``result.best.compiled`` is the winner.
@@ -166,7 +164,7 @@ def compile_portfolio(
         for method, limit, seed in grid
     ]
     if engine is None:
-        engine = BatchEngine(workers=workers, cache=cache)
+        engine = BatchEngine(cache=cache)
     report = engine.run(jobs)
     entries: List[PortfolioEntry] = []
     for (method, limit, seed), result in zip(grid, report.results):

@@ -253,8 +253,8 @@ class CouplingGraph:
 
     def __reduce__(self):
         # Pickle as the constructive spec, not the O(n²) distance tables,
-        # and re-intern on arrival: a process-pool worker receiving N jobs
-        # for the same device rebuilds (and analyses) it once.
+        # and re-intern on arrival: a process unpickling N jobs for the
+        # same device rebuilds (and analyses) it once.
         from .target import intern_coupling
 
         return (

@@ -20,8 +20,8 @@ registry (:func:`intern_target`).
 canonical content — coupling (name, size, sorted edges), calibration error
 tables (timestamp excluded: provenance labels don't change compilation),
 normalised crosstalk conflicts, and degradation warnings.  It is the
-interning key, the service-layer device identity (shipped to pool workers
-instead of O(n²) matrices), and is stamped on serialised results.
+interning key, the service-layer device identity (a pickled target ships
+content, not O(n²) matrices), and is stamped on serialised results.
 Calibrations that don't expose canonical error tables (duck-typed test
 stubs) yield ``fingerprint = None`` and are simply never interned.
 
@@ -410,8 +410,8 @@ class Target:
     # plumbing
     # ------------------------------------------------------------------
     def __reduce__(self):
-        # Ship content, not matrices: the worker re-interns, so each pool
-        # process pays one device analysis per distinct target.
+        # Ship content, not matrices: the receiving process re-interns, so
+        # it pays one device analysis per distinct target.
         return (
             _rebuild_target,
             (
@@ -494,7 +494,7 @@ def intern_coupling(
     """The shared :class:`CouplingGraph` for this topology content.
 
     Interning makes N identical inline device specs (batch job files,
-    unpickled pool jobs) share one graph — and one Floyd–Warshall table.
+    unpickled jobs) share one graph — and one Floyd–Warshall table.
     This is also ``CouplingGraph.__reduce__``'s constructor, so couplings
     cross process boundaries as edge lists and re-intern on arrival.
     """

@@ -17,9 +17,8 @@ winners):
   batched fast path);
 * :mod:`repro.service.cache` — content-addressed LRU result cache with
   entry/byte budgets and an optional disk tier;
-* :mod:`repro.service.engine` — process-pool batch execution of any mix
-  of kinds with per-job timeout, jittered retry, and structured per-job
-  failure;
+* :mod:`repro.service.engine` — serial batch execution of any mix of
+  kinds with retry on transient faults and structured per-job failure;
 * :mod:`repro.service.telemetry` — counters and p50/p95/p99 latency
   histograms for observing all of the above.
 """

@@ -72,6 +72,15 @@ class EvalJob(Job):
     eval_seed: int = 0
     job_id: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # Rejected where the job is built: every proxy below, and so every
+        # record of the job's result, reads the compile job.
+        if not isinstance(self.compile_job, CompileJob):
+            raise ValueError(
+                f"compile_job must be a repro.service.CompileJob, got "
+                f"{type(self.compile_job).__name__}"
+            )
+
     # Proxies so JobResult.to_record works on any job kind without
     # caring which one it holds.
     @property

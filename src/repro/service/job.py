@@ -10,10 +10,9 @@ siblings under :class:`Job`:
 * :class:`~repro.service.optimize.OptimizeJob` — a problem plus the
   variational-search knobs.
 
-Jobs are plain data — picklable across process boundaries and
-serialisable to JSON lines — so the batch engine can fan them out and the
-cache can address their results by content.  :func:`execute_job` runs a
-job of any kind.
+Jobs are plain data — serialisable to JSON lines — so the cache can
+address their results by content.  :func:`execute_job` runs a job of any
+kind.
 
 **Content addressing.**  :meth:`Job.content_hash` digests a kind's
 canonical form, which carries the kind's own version constant
@@ -308,8 +307,9 @@ class JobResult:
         payload: Envelope string (see :func:`encode_envelope`) holding the
             serialised compiled circuit; ``None`` on failure.
         error: Human-readable failure description.
-        error_kind: Machine-readable category (``"timeout"``,
-            ``"exception"``, ``"invalid"``, ``"pool"``).
+        error_kind: Machine-readable category: ``"invalid"`` (the job
+            itself is bad; never retried) or ``"exception"`` (anything
+            else; retried).
         warnings: Degradation provenance — every calibration repair and
             compile-path fallback taken while producing this result.  A
             populated list on an ``ok`` result means the job succeeded in
@@ -363,25 +363,17 @@ class JobResult:
 
 
 # ----------------------------------------------------------------------
-# execution (runs in worker processes — keep module-level and picklable)
+# execution
 # ----------------------------------------------------------------------
 def execute_job(job: Job) -> JobResult:
     """Run one job of any kind synchronously; never raises for job-level
     faults.  ``KeyError``/``ValueError`` (the job itself is bad) fail it
     ``invalid``; anything else fails it ``exception``."""
-    from ..store import flatten_store_events, store_stats
-
     key = ""
     start = time.perf_counter()
-    store_before = store_stats()
     try:
         key = job.content_hash()
         document, metrics, warnings = job._run()
-        # Per-job registry activity rides in the envelope so the engine
-        # sees what happened inside pool workers.
-        events = flatten_store_events(store_before, store_stats())
-        if events:
-            metrics["store_events"] = events
         # One encode: a compiled document goes in as a dict, the same bytes
         # as encode_envelope(to_json(compiled), metrics).
         payload = _envelope_text(document, metrics)

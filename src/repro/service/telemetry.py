@@ -4,7 +4,7 @@ The batch engine (and anything else in the serving path) records two kinds
 of signal:
 
 * **counters** — monotone event counts (jobs completed, retries, cache
-  hits, timeouts);
+  hits, cache write failures);
 * **histograms** — latency-style value streams summarised by count, mean,
   min/max and the p50/p95/p99 percentiles operators actually alert on.
 

@@ -18,14 +18,12 @@ fingerprints:
   eviction, and per-shard hit/miss/eviction/quarantine telemetry
   (:class:`~repro.service.cache.ResultCache` is a thin facade over it).
 
-Pool workers get device tables the way pickling gives them:
-``CouplingGraph.__reduce__`` and ``Target.__reduce__`` ship content and
-re-intern on arrival, and fork-started workers inherit whatever the parent
-had already interned.
+A pickled ``CouplingGraph`` or ``Target`` ships content and re-interns on
+arrival (``__reduce__``), so an unpickled copy shares the receiving
+process's tables.
 
 :func:`store_stats` snapshots every registry's counters; the batch engine
-threads per-run deltas through ``BatchReport.store_stats`` and per-job
-``store_events``.
+reports its per-run delta as ``BatchReport.store_stats``.
 """
 
 from .disk import DiskLookup, ShardStats, ShardedDiskTier, shard_for
@@ -33,7 +31,6 @@ from .registry import (
     FingerprintRegistry,
     all_registries,
     diff_store_stats,
-    flatten_store_events,
     registry_capacity,
     store_stats,
 )
@@ -45,7 +42,6 @@ __all__ = [
     "ShardedDiskTier",
     "all_registries",
     "diff_store_stats",
-    "flatten_store_events",
     "registry_capacity",
     "shard_for",
     "store_stats",

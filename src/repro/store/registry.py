@@ -20,9 +20,7 @@ scripts); every long-running-service registry in the repo sets a bound.
 :func:`store_stats` is the process-wide JSON-safe snapshot of every live
 registry; :func:`diff_store_stats` turns two snapshots into per-run
 deltas, which is how ``BatchReport.store_stats`` reports what one batch
-actually did rather than process-lifetime totals, and
-:func:`flatten_store_events` compacts a delta into the per-job
-``store_events`` record.
+actually did rather than process-lifetime totals.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ __all__ = [
     "FingerprintRegistry",
     "all_registries",
     "diff_store_stats",
-    "flatten_store_events",
     "registry_capacity",
     "store_stats",
 ]
@@ -239,23 +236,6 @@ def store_stats() -> Dict[str, object]:
         },
         "shm": {},
     }
-
-
-def flatten_store_events(before: Dict, after: Dict) -> Dict[str, int]:
-    """Compact registry counter deltas between two :func:`store_stats`
-    snapshots.
-
-    This is the per-job event record executors stamp into result metrics
-    (``store_events``) so the batch engine can see registry activity that
-    happened in pool processes.  Registries are summed; zero-valued
-    counters are dropped to keep envelopes small.
-    """
-    events = {"registry_hits": 0, "registry_misses": 0, "registry_evictions": 0}
-    for stats in diff_store_stats(before, after).get("registries", {}).values():
-        events["registry_hits"] += int(stats.get("hits", 0))
-        events["registry_misses"] += int(stats.get("misses", 0))
-        events["registry_evictions"] += int(stats.get("evictions", 0))
-    return {k: v for k, v in events.items() if v}
 
 
 def diff_store_stats(before: Dict, after: Dict) -> Dict[str, object]:

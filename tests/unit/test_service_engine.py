@@ -1,5 +1,6 @@
-"""Unit tests for the batch engine: caching, retries, timeouts, pooling."""
+"""Unit tests for the batch engine: caching, retries, failures as data."""
 
+import inspect
 import json
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro.circuits.qasm import dumps as qasm_dumps
 from repro.compiler.serialize import FORMAT_VERSION
-from repro.hardware import clear_target_registry, ring_device
+from repro.hardware import clear_target_registry
 from repro.qaoa import MaxCutProblem
 from repro.service import (
     BatchEngine,
@@ -35,18 +36,8 @@ def _jobs(count=3, **kwargs):
     return [CompileJob(seed=i, **defaults) for i in range(count)]
 
 
-# Module-level so they pickle into worker processes.
-def _sleepy_execute(job):
-    time.sleep(2.0)
-    return execute_job(job)
-
-
-def _crashy_execute(job):
-    raise RuntimeError("worker exploded")
-
-
 class _FlakyExecute:
-    """Fails the first ``failures`` calls, then delegates (serial only)."""
+    """Fails the first ``failures`` calls, then delegates."""
 
     def __init__(self, failures):
         self.failures = failures
@@ -189,115 +180,26 @@ class TestSerial:
 
     def test_engine_validates_config(self):
         with pytest.raises(ValueError):
-            BatchEngine(workers=-1)
-        with pytest.raises(ValueError):
             BatchEngine(retries=-1)
-        with pytest.raises(ValueError):
-            BatchEngine(timeout=0)
 
-
-def _timing_free(payload):
-    """An envelope without its wall-clock fields and registry events."""
-    envelope = json.loads(payload)
-    for part in (envelope["metrics"], envelope["compiled"] or {}):
-        for name in ("compile_time", "eval_trace", "store_events"):
-            part.pop(name, None)
-        for record in part.get("pass_trace") or []:
-            del record["seconds"]
-    return envelope
-
-
-class TestPooled:
-    def test_pooled_matches_serial(self):
-        """Workers resolve their own tables: a tokyo VIC job draws and
-        analyses its calibration, an inline coupling re-interns through
-        ``intern_coupling`` on unpickle, and eval jobs run pooled too."""
-        program = _program()
-        jobs = _jobs(4) + [
-            CompileJob(
-                program=program,
-                device="ibmq_20_tokyo",
-                method="vic",
-                calibration="auto",
-                seed=5,
-            ),
-            CompileJob(program=program, device=ring_device(8), method="ic"),
+    def test_engine_settings(self):
+        """The engine is serial: no pool size, timeout or jitter seed."""
+        params = list(inspect.signature(BatchEngine).parameters)
+        assert params == [
+            "retries", "retry_base_delay", "cache", "telemetry",
+            "execute_fn", "sleep",
         ]
-        eval_jobs = [
-            EvalJob(
-                CompileJob(
-                    program=program,
-                    device="ibmq_16_melbourne",
-                    method=method,
-                    calibration="auto",
-                ),
-                shots=256,
-                trajectories=2,
-            )
-            for method in ("ic", "vic")
-        ]
-        # Forked workers would inherit whatever the parent interned.
-        clear_target_registry()
-        clear_diagonal_registry()
-        job_module._ENVIRONMENTS.clear()
-        pooled = run_batch(jobs, workers=2).results
-        pooled += run_batch(eval_jobs, workers=2).results
-        serial = run_batch(jobs).results + run_batch(eval_jobs).results
-        assert [r.ok for r in pooled] == [True] * 8
-        for a, b in zip(serial, pooled):
-            assert a.key == b.key
-            assert _timing_free(a.payload) == _timing_free(b.payload)
 
-    def test_pooled_failure_degrades_gracefully(self):
-        jobs = _jobs(1)
-        bad = CompileJob(program=_program(), device="no_such_device")
-        report = run_batch([jobs[0], bad], workers=2)
-        assert [r.ok for r in report.results] == [True, False]
-        assert report.results[1].error_kind == "invalid"
-
-    def test_pooled_worker_exception_is_structured(self):
+    def test_backoff_doubles_per_attempt(self):
+        delays = []
         engine = BatchEngine(
-            workers=1, retries=0, execute_fn=_crashy_execute
+            retries=3,
+            retry_base_delay=0.25,
+            execute_fn=_FlakyExecute(failures=3),
+            sleep=delays.append,
         )
-        report = engine.run(_jobs(1))
-        result = report.results[0]
-        assert not result.ok
-        assert result.error_kind == "exception"
-        assert "worker exploded" in result.error
-
-    def test_timeout_produces_timeout_error(self):
-        engine = BatchEngine(
-            workers=1, timeout=0.3, retries=0, execute_fn=_sleepy_execute
-        )
-        start = time.monotonic()
-        report = engine.run(_jobs(1))
-        result = report.results[0]
-        assert not result.ok
-        assert result.error_kind == "timeout"
-        assert report.telemetry.counter("jobs.timeouts") == 1
-        # The engine must not wait for the abandoned 2 s worker.
-        assert time.monotonic() - start < 1.9
-
-    def test_timeout_retries_are_bounded(self):
-        engine = BatchEngine(
-            workers=1,
-            timeout=0.2,
-            retries=1,
-            retry_base_delay=0.01,
-            execute_fn=_sleepy_execute,
-        )
-        report = engine.run(_jobs(1))
-        result = report.results[0]
-        assert not result.ok
-        assert result.attempts == 2
-        assert report.telemetry.counter("jobs.timeouts") == 2
-
-    def test_pooled_cache_populated(self):
-        cache = ResultCache()
-        jobs = _jobs(2)
-        run_batch(jobs, workers=2, cache=cache)
-        warm = run_batch(jobs, cache=cache)
-        assert all(r.cached for r in warm.results)
+        assert engine.run(_jobs(1)).results[0].ok
+        assert delays == [0.25, 0.5, 1.0]
 
 
 class TestSleepHook:
@@ -355,25 +257,24 @@ class TestCacheQuarantineTelemetry:
         assert list(pathlib.Path(directory).glob("**/*.json.corrupt"))
 
 
-@pytest.mark.parametrize("workers", [0, 1], ids=["serial", "pooled"])
 class TestCacheLookupCounts:
     """Each job is looked up once.  A twin of a job that missed earlier in
     the batch is looked up after that job ran, so it is still a hit."""
 
-    def test_distinct_keys_one_lookup_each(self, workers):
+    def test_distinct_keys_one_lookup_each(self):
         cache = ResultCache()
         jobs = _jobs(4)
-        run_batch(jobs[:2], cache=cache, workers=workers)
+        run_batch(jobs[:2], cache=cache)
         assert (cache.stats.hits, cache.stats.misses) == (0, 2)
-        report = run_batch(jobs, cache=cache, workers=workers)
+        report = run_batch(jobs, cache=cache)
         assert [r.cached for r in report.results] == [True, True, False, False]
         assert (cache.stats.hits, cache.stats.misses) == (2, 4)
         assert report.cache_stats["hit_rate"] == pytest.approx(2 / 6)
 
-    def test_in_batch_duplicate_is_one_miss_then_a_hit(self, workers):
+    def test_in_batch_duplicate_is_one_miss_then_a_hit(self):
         cache = ResultCache()
         job = _jobs(1)[0]
-        report = run_batch([job, job], cache=cache, workers=workers)
+        report = run_batch([job, job], cache=cache)
         assert [r.cached for r in report.results] == [False, True]
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
@@ -451,7 +352,8 @@ class TestPre2Envelopes:
         result = report.results[0]
         assert result.ok and result.cached
         assert result.metrics["store_events"] == metrics["store_events"]
-        assert report.store_stats["jobs"] == {}  # cached: not counted
+        # The old envelope's events are passed through, not counted.
+        assert report.summary()["store_registry_hits"] == 0
         assert "store registry hits" in report.render()
         assert qasm_dumps(result.compiled().circuit) == qasm_dumps(
             fresh.compiled().circuit
@@ -478,9 +380,8 @@ def _eval_job(**knobs):
     )
 
 
-@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pooled"])
 class TestMixedKinds:
-    def test_one_batch_runs_every_kind(self, workers):
+    def test_one_batch_runs_every_kind(self):
         """The default engine runs compile, eval and optimize jobs side by
         side through the one executor."""
         jobs = [
@@ -493,7 +394,7 @@ class TestMixedKinds:
                 job_id="o",
             ),
         ]
-        report = run_batch(jobs, workers=workers)
+        report = run_batch(jobs)
         assert [r.ok for r in report.results] == [True] * 3, [
             r.error for r in report.results
         ]
@@ -516,9 +417,8 @@ class TestUnhashableJobs:
             lambda: CompileJob(program=None, device="ibmq_20_tokyo"),
             lambda: _eval_job(noise_scale="x"),
             lambda: _eval_job(t2_ns="x"),
-            lambda: EvalJob(None),
         ],
-        ids=["compile-no-program", "eval-noise-scale", "eval-t2", "eval-no-compile"],
+        ids=["compile-no-program", "eval-noise-scale", "eval-t2"],
     )
     def test_unhashable_job_is_an_invalid_result(self, build):
         """A job whose canonical form raises fails as data: no cache
@@ -542,3 +442,42 @@ class TestUnhashableJobs:
         assert executed == [good]
         assert cache.stats.misses == 1
         assert report.telemetry.counter("jobs.failed.invalid") == 1
+        # A record writer (``repro batch -o``) can emit the failure.
+        assert json.loads(json.dumps(failed.to_record()))["error_kind"] == "invalid"
+
+    @pytest.mark.parametrize("compile_job", [None, "ibmq_20_tokyo"])
+    def test_eval_job_needs_a_compile_job(self, compile_job):
+        """Rejected where the job is built, naming what it got."""
+        with pytest.raises(ValueError, match=type(compile_job).__name__):
+            EvalJob(compile_job)
+
+
+class TestCachePutFailure:
+    def test_failed_disk_write_keeps_every_result(self, tmp_path):
+        """A cache directory that cannot be created (here: beneath a
+        regular file) fails each write; the batch still returns every
+        result, and the memory tier still serves the warm re-run."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        cache = ResultCache(
+            directory=str(blocker / "cache"), expected_version=FORMAT_VERSION
+        )
+        jobs = _jobs(2)
+        report = BatchEngine(cache=cache).run(jobs)
+        assert [r.ok for r in report.results] == [True, True]
+        assert report.telemetry.counter("cache_put_failed") == 2
+        warm = BatchEngine(cache=cache).run(jobs)
+        assert [r.cached for r in warm.results] == [True, True]
+
+
+class TestStoreStats:
+    def test_cold_two_job_batch_registry_hits(self):
+        """Two jobs on one environment: the second reuses the first's
+        resolved environment, one registry hit in all (the value per-job
+        registry events summed to before the engine diffed the process)."""
+        clear_target_registry()
+        clear_diagonal_registry()
+        job_module._ENVIRONMENTS.clear()
+        report = run_batch(_jobs(2))
+        assert report.summary()["store_registry_hits"] == 1
+        assert report.store_stats["registries"]["job_environments"]["hits"] == 1

@@ -10,7 +10,6 @@ from repro.store import (
     ShardedDiskTier,
     all_registries,
     diff_store_stats,
-    flatten_store_events,
     registry_capacity,
     shard_for,
     store_stats,
@@ -308,21 +307,3 @@ class TestStatsDiffing:
     def test_new_sections_diff_against_zero(self):
         delta = diff_store_stats({}, {"registries": {"r": {"hits": 4}}})
         assert delta["registries"]["r"]["hits"] == 4
-
-    def test_flatten_store_events_sums_and_drops_zeros(self):
-        before = {
-            "registries": {
-                "a": {"hits": 1, "misses": 0, "evictions": 0},
-                "b": {"hits": 2, "misses": 1, "evictions": 0},
-            },
-            "shm": {},
-        }
-        after = {
-            "registries": {
-                "a": {"hits": 4, "misses": 0, "evictions": 0},
-                "b": {"hits": 2, "misses": 3, "evictions": 0},
-            },
-            "shm": {},
-        }
-        events = flatten_store_events(before, after)
-        assert events == {"registry_hits": 3, "registry_misses": 2}
