@@ -263,23 +263,29 @@ class Instruction:
     params: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # Every instruction read back from QASM or a cache entry passes
+        # through here, so each field is coerced in one pass and checked
+        # on the coerced tuple.
         spec = gate_spec(self.name)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if spec.num_qubits and len(self.qubits) != spec.num_qubits:
+        qubits = tuple(map(int, self.qubits))
+        params = tuple(map(float, self.params))
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "params", params)
+        n = len(qubits)
+        if spec.num_qubits and n != spec.num_qubits:
             raise ValueError(
                 f"gate {self.name!r} acts on {spec.num_qubits} qubit(s), "
-                f"got qubits={self.qubits}"
+                f"got qubits={qubits}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubits in {self.name!r}: {self.qubits}")
-        if len(self.params) != spec.num_params:
+        if n > 1 and len(set(qubits)) != n:
+            raise ValueError(f"duplicate qubits in {self.name!r}: {qubits}")
+        if len(params) != spec.num_params:
             raise ValueError(
                 f"gate {self.name!r} takes {spec.num_params} parameter(s), "
-                f"got params={self.params}"
+                f"got params={params}"
             )
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
+        if n and min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
 
     @classmethod
     def _unchecked(

@@ -138,7 +138,11 @@ def loads(text: str) -> QuantumCircuit:
     """Parse OpenQASM 2.0 text (the subset :func:`dumps` emits).
 
     Supports one quantum register, one classical register, the qelib1 gates
-    of :data:`_SUPPORTED`, ``barrier`` and ``measure``.
+    of :data:`_SUPPORTED`, ``barrier`` and ``measure``.  The IR has no
+    classical operand, so ``measure q[i] -> c[j]`` must write bit ``i`` of
+    the declared classical register (``j == i``, as :func:`dumps` writes
+    it); any other target raises :class:`QASMError` instead of being
+    dropped.
     """
     statements: List[str] = []
     # Strip comments, split on semicolons.
@@ -152,6 +156,7 @@ def loads(text: str) -> QuantumCircuit:
         raise QASMError("missing OPENQASM 2.0 header")
     num_qubits: Optional[int] = None
     qreg_name = "q"
+    creg: Optional[Tuple[str, int]] = None
     instructions: List[Instruction] = []
 
     for stmt in statements[1:]:
@@ -163,17 +168,30 @@ def loads(text: str) -> QuantumCircuit:
                 raise QASMError("multiple qreg declarations are unsupported")
             qreg_name, num_qubits = qreg.group(1), int(qreg.group(2))
             continue
-        if _CREG_RE.match(stmt):
+        creg_match = _CREG_RE.match(stmt)
+        if creg_match:
+            if creg is not None:
+                raise QASMError("multiple creg declarations are unsupported")
+            creg = creg_match.group(1), int(creg_match.group(2))
             continue
         if num_qubits is None:
             raise QASMError(f"statement {stmt!r} before qreg declaration")
         measure = _MEASURE_RE.match(stmt)
         if measure:
-            if measure.group(1) != qreg_name:
+            qreg_arg, qubit, creg_arg, bit = measure.groups()
+            if qreg_arg != qreg_name:
                 raise QASMError(f"unknown register in {stmt!r}")
-            instructions.append(
-                Instruction("measure", (int(measure.group(2)),))
-            )
+            if creg is None:
+                raise QASMError(f"measure before any creg declaration: {stmt!r}")
+            if creg_arg != creg[0]:
+                raise QASMError(f"unknown classical register in {stmt!r}")
+            qubit = int(qubit)
+            if int(bit) != qubit or qubit >= creg[1]:
+                raise QASMError(
+                    f"measure of qubit {qubit} must write bit {qubit} of "
+                    f"{creg[0]}[{creg[1]}], got {stmt!r}"
+                )
+            instructions.append(Instruction("measure", (qubit,)))
             continue
         gate = _GATE_RE.match(stmt)
         if not gate:

@@ -1,7 +1,7 @@
 """Compilation: placements, orderings, backend, flows, metrics."""
 
 from .analysis import CompilationAnalysis, analyze_compiled
-from .backend import CompiledCircuit, ConventionalBackend
+from .backend import CompiledCircuit, ConventionalBackend, CouplingError
 from .crosstalk import count_conflicts, sequentialize_crosstalk
 from .exhaustive import ExhaustiveResult, exhaustive_best_order
 from .flow import (
@@ -70,6 +70,7 @@ __all__ = [
     "ConventionalBackend",
     "SabreBackend",
     "CompiledCircuit",
+    "CouplingError",
     "route_pair",
     "RoutingResult",
     "trivial_placement",

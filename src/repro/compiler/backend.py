@@ -27,11 +27,17 @@ from .mapping import Mapping
 from .metrics import native_metrics
 from .routing import route_pair
 
-__all__ = ["CompiledCircuit", "ConventionalBackend"]
+__all__ = ["CompiledCircuit", "ConventionalBackend", "CouplingError"]
 
 
 #: Gates the coupling constrains when they act on two qubits.
 _UNITARY = frozenset(name for name, spec in GATES.items() if spec.is_unitary)
+
+
+class CouplingError(ValueError):
+    """A compiled circuit applies a two-qubit gate to an uncoupled pair of
+    physical qubits (raised by ``validate()``, so also by a read-back of a
+    tampered document)."""
 
 
 def _coupling_violation(
@@ -86,10 +92,11 @@ class CompiledCircuit:
         return native_metrics(self.circuit).gate_count
 
     def validate(self) -> None:
-        """Assert every two-qubit gate sits on a device coupling."""
+        """Check that every two-qubit gate sits on a device coupling;
+        raises :class:`CouplingError` otherwise."""
         inst = _coupling_violation(self.circuit, self.coupling)
         if inst is not None:
-            raise AssertionError(
+            raise CouplingError(
                 f"gate {inst} violates coupling constraints of "
                 f"{self.coupling.name}"
             )

@@ -39,7 +39,7 @@ from ..hardware.coupling import CouplingGraph
 from ..hardware.devices import get_device
 from ..hardware.target import Target, intern_target
 from ..qaoa.problems import QAOAProgram
-from .backend import _coupling_violation
+from .backend import CouplingError, _coupling_violation
 from .metrics import native_metrics, success_probability
 from .pipeline import PassContext, PassRecord, PipelineSpec, build_pipeline
 from .placement import (
@@ -174,10 +174,11 @@ class CompiledQAOA:
         return native_metrics(self.circuit).gate_count
 
     def validate(self) -> None:
-        """Assert coupling compliance of every two-qubit gate."""
+        """Check coupling compliance of every two-qubit gate; raises
+        :class:`~repro.compiler.backend.CouplingError` otherwise."""
         inst = _coupling_violation(self.circuit, self.coupling)
         if inst is not None:
-            raise AssertionError(
+            raise CouplingError(
                 f"gate {inst} violates coupling of {self.coupling.name}"
             )
 

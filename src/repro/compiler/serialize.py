@@ -20,6 +20,7 @@ from ..circuits import QuantumCircuit
 from ..circuits.qasm import dumps as qasm_dumps
 from ..circuits.qasm import loads as qasm_loads
 from ..hardware.coupling import CouplingGraph
+from ..hardware.target import intern_coupling
 from ..qaoa.problems import Level, QAOAProgram
 from .backend import CompiledCircuit
 from .flow import CompiledQAOA
@@ -63,10 +64,10 @@ def _coupling_payload(coupling: CouplingGraph) -> dict:
 
 
 def _coupling_from(payload: dict) -> CouplingGraph:
-    return CouplingGraph(
-        payload["num_qubits"],
-        [tuple(e) for e in payload["edges"]],
-        name=payload["name"],
+    """The interned graph for the payload's device: every read-back of a
+    device shares one :class:`CouplingGraph` (built and checked once)."""
+    return intern_coupling(
+        payload["num_qubits"], payload["edges"], name=payload["name"]
     )
 
 

@@ -501,7 +501,7 @@ def intern_coupling(
     key = (
         str(name),
         int(num_qubits),
-        tuple(sorted(_norm_edge(*e) for e in edges)),
+        tuple(sorted(_norm_edge(a, b) for a, b in edges)),
     )
 
     graph, _hit = _COUPLINGS.intern(

@@ -270,7 +270,11 @@ class ResultCache:
             return None
         if not lookup.hit:
             return None
-        if self._check_version(lookup.text) is False:
+        if (
+            self.expected_version is not None
+            and lookup.payload.get("format_version") != self.expected_version
+        ):
+            # Read off the dict the tier's corruption check already parsed.
             self._disk.delete(key)
             with self._lock:
                 self.stats.invalidations += 1

@@ -43,7 +43,10 @@ from typing import Callable, List, Optional, Sequence
 
 from ..store import diff_store_stats, store_stats
 from .cache import ResultCache
-from .job import Job, JobResult, decode_envelope, execute_job
+from .job import Job, JobResult, envelope_metrics, execute_job
+# Not called here (a cache hit reads only the envelope's metrics); kept because
+# perfbench/bench_trace.py wraps ``decode_envelope`` by this module's name.
+from .job import decode_envelope  # noqa: F401
 from .telemetry import Telemetry
 
 __all__ = ["BatchEngine", "BatchReport", "run_batch"]
@@ -65,11 +68,15 @@ class BatchReport:
         results: One :class:`JobResult` per submitted job, input order.
         telemetry: The telemetry sink the run recorded into.
         elapsed: Wall-clock seconds for the whole batch.
-        cache_stats: Snapshot of the cache counters (empty dict when the
-            run was uncached).
+        cache_stats: Lifetime snapshot of the cache's counters at the end
+            of the run, including earlier runs over the same cache (empty
+            dict when the run was uncached).
         store_stats: Intern-registry activity for this run: the
             :func:`repro.store.diff_store_stats` delta of this process's
             registries across the run.
+        run_cache_stats: This run's share of the cache counters: the same
+            keys as ``cache_stats``, counted over the run alone, with
+            ``hit_rate`` over its own lookups (empty dict when uncached).
     """
 
     results: List[JobResult]
@@ -77,6 +84,7 @@ class BatchReport:
     elapsed: float
     cache_stats: dict
     store_stats: dict = dataclasses.field(default_factory=dict)
+    run_cache_stats: dict = dataclasses.field(default_factory=dict)
 
     @property
     def ok(self) -> List[JobResult]:
@@ -122,7 +130,9 @@ class BatchReport:
         )
 
     def summary(self) -> dict:
-        """Headline numbers: throughput, hit rate, latency percentiles."""
+        """Headline numbers of this run: throughput, hit rate, latency
+        percentiles.  The cache figures count this run's lookups only;
+        :attr:`cache_stats` keeps the cache's lifetime counters."""
         snap = self.telemetry.snapshot()
         latency = snap["histograms"].get("job_latency_ms", {})
         registries = self.store_stats.get("registries", {})
@@ -138,8 +148,8 @@ class BatchReport:
             "jobs_per_s": (
                 len(self.results) / self.elapsed if self.elapsed > 0 else 0.0
             ),
-            "cache_hit_rate": self.cache_stats.get("hit_rate", 0.0),
-            "cache_quarantined": int(self.cache_stats.get("quarantines", 0)),
+            "cache_hit_rate": self.run_cache_stats.get("hit_rate", 0.0),
+            "cache_quarantined": int(self.run_cache_stats.get("quarantines", 0)),
             "store_registry_hits": sum(
                 int(stats.get("hits", 0)) for stats in registries.values()
             ),
@@ -226,6 +236,7 @@ class BatchEngine:
         """Run a batch; returns one result per job, input order."""
         start = time.perf_counter()
         store_before = store_stats()
+        cache_before = self._cache_snapshot()
         results: List[Optional[JobResult]] = [None] * len(jobs)
         now = time.monotonic()
         for index, job in enumerate(jobs):
@@ -253,19 +264,22 @@ class BatchEngine:
         elapsed = time.perf_counter() - start
         final = [r for r in results if r is not None]
         assert len(final) == len(jobs), "every job must yield a result"
+        cache_after = self._cache_snapshot()
         return BatchReport(
             results=final,
             telemetry=self.telemetry,
             elapsed=elapsed,
-            cache_stats=(
-                self.cache.stats.snapshot() if self.cache is not None else {}
-            ),
+            cache_stats=cache_after,
             store_stats=diff_store_stats(store_before, store_stats()),
+            run_cache_stats=_cache_delta(cache_before, cache_after),
         )
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _cache_snapshot(self) -> dict:
+        return self.cache.stats.snapshot() if self.cache is not None else {}
+
     def _try_cache(self, state: _JobState) -> Optional[JobResult]:
         if self.cache is None:
             return None
@@ -280,7 +294,7 @@ class BatchEngine:
         if payload is None:
             return None
         try:
-            metrics, _ = decode_envelope(payload)
+            metrics = envelope_metrics(payload)
         except ValueError:
             return None  # stale envelope in the memory tier — recompile
         latency = time.monotonic() - state.enqueued_at
@@ -370,6 +384,17 @@ class BatchEngine:
                 return
             self.telemetry.incr("jobs.retries")
             self._sleep(self.retry_base_delay * 2 ** (state.attempts - 1))
+
+
+def _cache_delta(before: dict, after: dict) -> dict:
+    """The counters of cache snapshot ``after`` minus ``before``, with the
+    hit rate of the lookups in between (``{}`` for an uncached run)."""
+    if not after:
+        return {}
+    delta = {name: after[name] - before[name] for name in after if name != "hit_rate"}
+    lookups = delta["hits"] + delta["misses"]
+    delta["hit_rate"] = delta["hits"] / lookups if lookups else 0.0
+    return delta
 
 
 def run_batch(jobs: Sequence[Job], **engine_kwargs) -> BatchReport:

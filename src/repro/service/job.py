@@ -62,6 +62,7 @@ __all__ = [
     "load_jobs_jsonl",
     "encode_envelope",
     "decode_envelope",
+    "envelope_metrics",
 ]
 
 #: Bumped whenever the canonical form changes, so stale hashes cannot alias.
@@ -484,6 +485,13 @@ def decode_envelope(text: str) -> "tuple[dict, str]":
     """Return ``(metrics, compiled_json)`` from an envelope string."""
     payload = _read_envelope(text)
     return payload["metrics"], json.dumps(payload["compiled"])
+
+
+def envelope_metrics(text: str) -> dict:
+    """The metrics of an envelope string: one parse, and the compiled
+    document is not encoded again (what a cache hit needs).  Raises
+    ``ValueError`` unless the envelope is at the current format version."""
+    return _read_envelope(text)["metrics"]
 
 
 def _read_envelope(text: str) -> dict:

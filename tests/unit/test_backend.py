@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.compiler.backend import ConventionalBackend
+from repro.compiler.backend import ConventionalBackend, CouplingError
 from repro.compiler.mapping import Mapping
 from repro.hardware import linear_device, ring_device
 
@@ -89,7 +89,7 @@ class TestCompiledCircuitMetrics:
         )
         # Corrupt the circuit to check validate() actually fires.
         result.circuit.cnot(0, 2)
-        with pytest.raises(AssertionError, match="violates"):
+        with pytest.raises(CouplingError, match="violates"):
             result.validate()
 
 

@@ -123,6 +123,38 @@ class TestLoads:
             loads("OPENQASM 2.0;")
 
 
+class TestMeasureTargets:
+    """The IR keeps no classical operand, so a measure must write its own
+    qubit's bit of the declared creg; anything else is refused, not
+    dropped."""
+
+    HEAD = 'OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; '
+
+    def test_dumps_measures_read_back(self):
+        qc = QuantumCircuit(3).h(0).measure_all()
+        assert loads(dumps(qc)).instructions == qc.instructions
+
+    def test_other_bit_rejected(self):
+        with pytest.raises(QASMError, match="must write bit 0"):
+            loads(self.HEAD + "creg c[3]; measure q[0] -> c[2];")
+
+    def test_undeclared_register_rejected(self):
+        with pytest.raises(QASMError, match="unknown classical register"):
+            loads(self.HEAD + "creg c[3]; measure q[0] -> zz[0];")
+
+    def test_measure_without_creg_rejected(self):
+        with pytest.raises(QASMError, match="before any creg"):
+            loads(self.HEAD + "measure q[0] -> c[0];")
+
+    def test_bit_outside_creg_rejected(self):
+        with pytest.raises(QASMError, match=r"c\[2\]"):
+            loads(self.HEAD + "creg c[2]; measure q[2] -> c[2];")
+
+    def test_second_creg_rejected(self):
+        with pytest.raises(QASMError, match="multiple creg"):
+            loads(self.HEAD + "creg c[3]; creg d[3];")
+
+
 class TestCompiledCircuitExport:
     def test_compiled_qaoa_round_trips(self, rng):
         from repro.compiler import compile_with_method

@@ -8,6 +8,7 @@ from repro.circuits import Instruction, QuantumCircuit, qasm
 from repro.compiler import (
     CompiledQAOA,
     ConventionalBackend,
+    CouplingError,
     Mapping,
     compile_with_method,
 )
@@ -77,6 +78,13 @@ class TestCircuitRoundTrip:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("edge", [[0, 1, 2], [0, 0], [0, 99]])
+    def test_malformed_coupling_edge_is_a_value_error(self, compiled_qaoa, edge):
+        payload = json.loads(to_json(compiled_qaoa))
+        payload["coupling"]["edges"].append(edge)
+        with pytest.raises(ValueError):
+            from_json(json.dumps(payload))
+
     def test_version_check(self, compiled_qaoa):
         payload = json.loads(to_json(compiled_qaoa))
         payload["format_version"] = 99
@@ -140,7 +148,7 @@ class TestValidation:
             "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[6];",
             "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[6];\ncx q[0],q[3];",
         )
-        with pytest.raises(AssertionError, match="violates"):
+        with pytest.raises(CouplingError, match="violates"):
             from_json(json.dumps(payload))
 
     def test_register_widened_to_the_device(self, rng):

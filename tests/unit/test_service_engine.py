@@ -278,6 +278,145 @@ class TestCacheLookupCounts:
         assert [r.cached for r in report.results] == [False, True]
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
+    def test_summary_counts_this_run_only(self):
+        """Over a shared cache, summary() reports the run's own lookups
+        (2 hits in 4); cache_stats stays the cache's lifetime snapshot."""
+        cache = ResultCache()
+        jobs = _jobs(4)
+        run_batch(jobs[:2], cache=cache)
+        report = run_batch(jobs, cache=cache)
+        assert report.summary()["cache_hit_rate"] == pytest.approx(0.5)
+        assert report.summary()["cache_quarantined"] == 0
+        assert (report.run_cache_stats["hits"], report.run_cache_stats["misses"]) == (2, 2)
+        assert report.cache_stats["hit_rate"] == pytest.approx(2 / 6)
+
+
+def _count_envelope_json(monkeypatch, payload):
+    """Count ``json.loads`` calls on ``payload`` and ``json.dumps`` calls
+    on a compiled document, process-wide, from here on."""
+    calls = {"loads": 0, "dumps_compiled": 0}
+    loads, dumps = json.loads, json.dumps
+
+    def counting_loads(text, *args, **kwargs):
+        if text == payload:
+            calls["loads"] += 1
+        return loads(text, *args, **kwargs)
+
+    def counting_dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "qasm" in obj:
+            calls["dumps_compiled"] += 1
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    return calls
+
+
+class TestWarmReadPath:
+    """A cache hit takes only the envelope's metrics: one parse per tier
+    that reads the text, and the compiled document is never re-encoded."""
+
+    def test_memory_hit_parses_once(self, monkeypatch):
+        cache = ResultCache()
+        jobs = _jobs(1)
+        cold = run_batch(jobs, cache=cache).results[0]
+        calls = _count_envelope_json(monkeypatch, cold.payload)
+        warm = run_batch(jobs, cache=cache).results[0]
+        assert warm.cached and warm.metrics == cold.metrics
+        assert calls == {"loads": 1, "dumps_compiled": 0}
+
+    def test_disk_hit_parses_at_most_twice(self, tmp_path, monkeypatch):
+        """The disk tier's corruption check and the engine's metrics
+        read; the version check reuses the tier's parse."""
+        directory = str(tmp_path / "cache")
+        jobs = _jobs(1)
+        cold = run_batch(
+            jobs,
+            cache=ResultCache(directory=directory, expected_version=FORMAT_VERSION),
+        ).results[0]
+        calls = _count_envelope_json(monkeypatch, cold.payload)
+        cache = ResultCache(directory=directory, expected_version=FORMAT_VERSION)
+        warm = run_batch(jobs, cache=cache).results[0]
+        assert warm.cached and cache.stats.disk_hits == 1
+        assert warm.metrics == cold.metrics
+        assert calls["loads"] <= 2
+        assert calls["dumps_compiled"] == 0
+
+    def test_read_back_coupling_is_interned(self):
+        from repro.hardware.target import intern_coupling
+
+        cache = ResultCache()
+        jobs = _jobs(1)
+        run_batch(jobs, cache=cache)
+        first = run_batch(jobs, cache=cache).results[0].compiled()
+        second = run_batch(jobs, cache=cache).results[0].compiled()
+        coupling = first.coupling
+        assert second.coupling is coupling
+        assert coupling is intern_coupling(
+            coupling.num_qubits, coupling.edges, name=coupling.name
+        )
+
+
+def _uncoupled_pair(coupling):
+    n = coupling.num_qubits
+    return next(
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if not coupling.has_edge(a, b)
+    )
+
+
+class TestCouplingRefusal:
+    """A coupling violation is a typed ``ValueError``: the job fails
+    ``invalid`` without a retry, and a tampered cached document refuses
+    to read back with an error callers can catch by type."""
+
+    def test_violating_compile_is_invalid_and_not_retried(self, monkeypatch):
+        import repro.compiler.flow as flow
+
+        original = flow.compile_with_method
+
+        def off_coupling(*args, **kwargs):
+            compiled = original(*args, **kwargs)
+            compiled.circuit.cnot(*_uncoupled_pair(compiled.coupling))
+            compiled.validate()
+            return compiled
+
+        monkeypatch.setattr(flow, "compile_with_method", off_coupling)
+        engine = BatchEngine(retries=2, sleep=lambda seconds: None)
+        result = engine.run(_jobs(1)).results[0]
+        assert not result.ok
+        assert result.error_kind == "invalid"
+        assert result.attempts == 1
+        assert "violates" in result.error
+        assert engine.telemetry.counter("jobs.retries") == 0
+
+    def test_tampered_cached_document_raises_coupling_error(self, tmp_path):
+        import pathlib
+
+        from repro.compiler import CouplingError
+
+        directory = str(tmp_path / "cache")
+        jobs = _jobs(1)
+        cold = run_batch(
+            jobs,
+            cache=ResultCache(directory=directory, expected_version=FORMAT_VERSION),
+        ).results[0]
+        a, b = _uncoupled_pair(cold.compiled().coupling)
+        (entry,) = pathlib.Path(directory).glob("**/*.json")
+        envelope = json.loads(entry.read_text())
+        envelope["compiled"]["qasm"] += f"cx q[{a}],q[{b}];\n"
+        entry.write_text(json.dumps(envelope))
+
+        warm = run_batch(
+            jobs,
+            cache=ResultCache(directory=directory, expected_version=FORMAT_VERSION),
+        ).results[0]
+        assert warm.ok and warm.cached
+        with pytest.raises(CouplingError, match="violates"):
+            warm.compiled()
+
 
 class TestStaleFormatVersion:
     def test_v4_envelope_is_a_miss_and_recompiles_at_v5(self, tmp_path):
