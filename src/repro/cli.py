@@ -927,25 +927,29 @@ def _cmd_cache(args, out) -> int:
     cache = ResultCache(
         directory=args.dir, expected_version=FORMAT_VERSION
     )
-    if args.action == "stats":
-        rows = [
-            ["directory", args.dir],
-            ["entries", cache.disk_entries()],
-            ["bytes", cache.disk_bytes()],
-            ["format version", FORMAT_VERSION],
-        ]
-        print(format_table(["cache", "value"], rows), file=out)
-    elif args.action == "prune":
-        pruned = cache.prune_stale()
-        print(
-            f"pruned {pruned} stale entr{'y' if pruned == 1 else 'ies'} "
-            f"({cache.disk_entries()} remain)",
-            file=out,
-        )
-    else:
-        before = cache.disk_entries()
-        cache.clear(disk=True)
-        print(f"cleared {before} entries from {args.dir}", file=out)
+    try:
+        if args.action == "stats":
+            rows = [
+                ["directory", args.dir],
+                ["entries", cache.disk_entries()],
+                ["bytes", cache.disk_bytes()],
+                ["format version", FORMAT_VERSION],
+            ]
+            print(format_table(["cache", "value"], rows), file=out)
+        elif args.action == "prune":
+            pruned = cache.prune_stale()
+            print(
+                f"pruned {pruned} stale entr{'y' if pruned == 1 else 'ies'} "
+                f"({cache.disk_entries()} remain)",
+                file=out,
+            )
+        else:
+            before = cache.disk_entries()
+            cache.clear(disk=True)
+            print(f"cleared {before} entries from {args.dir}", file=out)
+    except OSError as exc:  # the database is locked, unreadable or unwritable
+        print(f"error: cache directory {args.dir}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -13,12 +13,13 @@ results).
 The memory tier is a straight LRU over an :class:`~collections.OrderedDict`
 with two eviction budgets — entry count and total payload bytes — so a
 long-running service bounds both object churn and resident size.  The disk
-tier is a :class:`repro.store.disk.ShardedDiskTier`: entries fan out over
-256 shard directories keyed by the SHA-256 of the key (a pre-refactor
-flat-layout directory is still read, and entries migrate into their shard
-on first hit), writes are atomic, corrupt entries are quarantined, and an
-optional ``max_disk_bytes`` budget evicts oldest-first.  ``repro cache``
-manages it from the CLI.
+tier is a :class:`repro.store.disk.SQLiteDiskTier`: every entry of the
+directory in one SQLite database, writes are atomic, corrupt entries are
+quarantined, several processes may share the directory, and an optional
+``max_disk_bytes`` budget evicts oldest-first.  A lookup the tier cannot
+serve (a lock held past its busy timeout) counts as a miss and re-raises
+the tier's ``OSError``; a write the tier cannot take raises it too.
+``repro cache`` manages the tier from the CLI.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from ..store.disk import ShardedDiskTier
+from ..store.disk import SQLiteDiskTier
 
 __all__ = ["CacheStats", "ResultCache"]
 
@@ -93,9 +94,8 @@ class ResultCache:
             disables the tier.
         expected_version: When set, payloads must carry this top-level
             ``"format_version"``; mismatching disk entries are deleted.
-        max_disk_bytes: Disk-tier byte budget; exceeding it evicts the
-            oldest entries across shards (``None`` = unbounded, the
-            pre-refactor behaviour).
+        max_disk_bytes: Disk-tier byte budget over UTF-8 payload sizes;
+            exceeding it evicts the oldest entries (``None`` = unbounded).
     """
 
     def __init__(
@@ -122,8 +122,8 @@ class ResultCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, str]" = OrderedDict()
         self._bytes = 0
-        self._disk: Optional[ShardedDiskTier] = (
-            ShardedDiskTier(self.directory, max_bytes=max_disk_bytes)
+        self._disk: Optional[SQLiteDiskTier] = (
+            SQLiteDiskTier(self.directory, max_bytes=max_disk_bytes)
             if self.directory is not None
             else None
         )
@@ -140,7 +140,12 @@ class ResultCache:
                 self.stats.hits += 1
                 self.stats.memory_hits += 1
                 return payload
-        payload = self._disk_get(key)
+        try:
+            payload = self._disk_get(key)
+        except OSError:
+            with self._lock:
+                self.stats.misses += 1
+            raise
         with self._lock:
             if payload is None:
                 self.stats.misses += 1
@@ -185,40 +190,36 @@ class ResultCache:
             self._entries.clear()
             self._bytes = 0
         if disk and self._disk is not None:
-            self._disk.clear(debris=True)
+            self._disk.clear()
+
+    def close(self) -> None:
+        """Close the disk tier's database connection; the next disk
+        operation reopens it."""
+        if self._disk is not None:
+            self._disk.close()
 
     # ------------------------------------------------------------------
     # disk-tier maintenance (used by ``repro cache``)
     # ------------------------------------------------------------------
     def disk_entries(self) -> int:
-        """Entry count — a shard-aware scan (existing shard dirs plus the
-        legacy root only, not a full directory walk)."""
+        """Distinct keys stored in the disk tier."""
         if self._disk is None:
             return 0
         return self._disk.entries()
 
     def disk_bytes(self) -> int:
+        """Payload bytes stored in the disk tier."""
         if self._disk is None:
             return 0
-        return self._disk.bytes_used(refresh=True)
-
-    def shard_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-shard hit/miss/eviction/quarantine counters (the ``""``
-        shard is the legacy flat root)."""
-        if self._disk is None:
-            return {}
-        return {
-            shard: stats.as_dict()
-            for shard, stats in self._disk.shard_stats().items()
-        }
+        return self._disk.bytes_used()
 
     def prune_stale(self) -> int:
-        """Delete stale/corrupt disk entries and writer debris; return count.
+        """Delete stale and corrupt disk entries and the quarantine; return
+        the count.
 
-        Removes entries whose format version is stale, entries that are
-        not valid JSON (truncated writes), quarantined ``.corrupt`` files,
-        and orphaned ``.tmp`` files left by crashed writers — walking only
-        shard directories that exist (plus the legacy root).
+        Removes entries whose format version is stale, entries that do not
+        parse as a JSON object, quarantined rows, and database files set
+        aside as unreadable.
         """
         if self._disk is None:
             return 0
@@ -228,8 +229,7 @@ class ResultCache:
                 return False
             return payload.get("format_version") != self.expected_version
 
-        pruned = self._disk.prune(_stale, quarantine_corrupt=False)
-        pruned += self._disk.sweep_debris()
+        pruned = self._disk.prune(_stale) + self._disk.sweep_quarantine()
         self.stats.invalidations += pruned
         return pruned
 
@@ -261,9 +261,9 @@ class ResultCache:
             return None
         lookup = self._disk.get(key)
         if lookup.quarantined:
-            # Corrupt or truncated entry (e.g. a crash mid-write by a
-            # pre-atomic-rename writer, bit rot, manual tampering): the
-            # tier moved it to ``.corrupt``; report a miss.
+            # An entry that is not a JSON object (bit rot, manual
+            # tampering), or a database file SQLite cannot read: the tier
+            # moved it aside; report a miss.
             with self._lock:
                 self.stats.quarantines += 1
                 self.stats.invalidations += 1

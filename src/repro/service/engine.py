@@ -18,8 +18,10 @@ it feeds a :class:`~repro.service.telemetry.Telemetry` instance throughout:
 ``execute_ms`` / pure ``compile_ms`` histograms, and one histogram per
 stage of each executed job's stage traces — ``pass_ms.<pass>`` per
 compiler-pipeline pass, ``eval_ms.<stage>`` per fast-path evaluation
-stage, ``optimize_ms.<stage>`` per variational stage — so batch telemetry
-reports where the time goes (:meth:`BatchReport.stage_summary`).
+stage, ``optimize_ms.<stage>`` per variational stage.  That telemetry
+lives as long as the engine; a :class:`BatchReport`'s latency
+percentiles and :meth:`BatchReport.stage_summary` are computed from the
+run's own results.
 
 ``execute_fn`` defaults to :func:`~repro.service.job.execute_job`, which
 runs any kind.
@@ -30,9 +32,11 @@ Retries apply to transient faults (``error_kind="exception"``, whether
 ``retry_base_delay * 2 ** (n - 1)`` seconds before the next one.
 Deterministic rejections (``error_kind="invalid"`` — unknown device,
 malformed program, a job that cannot hash) never retry: they would fail
-identically again.  A cache write that fails (a full disk, a bad cache
-directory) loses only the cached copy: the job keeps its result and the
-``cache_put_failed`` counter records the loss.
+identically again.  The cache never fails a job.  A lookup the disk
+tier cannot serve (its database locked past the busy timeout) is a miss,
+counted as ``cache_get_failed``; a cache write that fails (a full disk, a
+bad cache directory, a lock) loses only the cached copy: the job keeps
+its result and the ``cache_put_failed`` counter records the loss.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .job import Job, JobResult, envelope_metrics, execute_job
 # Not called here (a cache hit reads only the envelope's metrics); kept because
 # perfbench/bench_trace.py wraps ``decode_envelope`` by this module's name.
 from .job import decode_envelope  # noqa: F401
-from .telemetry import Telemetry
+from .telemetry import Histogram, Telemetry
 
 __all__ = ["BatchEngine", "BatchReport", "run_batch"]
 
@@ -100,22 +104,24 @@ class BatchReport:
         return [r for r in self.results if r.ok and r.warnings]
 
     def stage_summary(self, family: str) -> dict:
-        """Per-stage latency aggregation across the batch for one stage
+        """Per-stage latency aggregation across this run for one stage
         family: ``"pass"`` (compiler-pipeline passes), ``"eval"``
         (``diagonal``/``ideal``/``noisy``) or ``"optimize"``
         (``population``/``search``).
 
         Returns ``{stage: {count, mean, min, max, p50, p95, p99}}`` in
-        milliseconds, built from the ``<family>_ms.*`` histograms the
-        engine feeds from every executed job's stage trace.  Cache hits
-        contribute no samples (nothing ran).
+        milliseconds, over the ``<family>_trace`` of every job this run
+        executed.  Cache hits contribute no samples (nothing ran).
         """
-        prefix = f"{family}_ms."
-        return {
-            name[len(prefix):]: summary
-            for name, summary in self.telemetry.snapshot()["histograms"].items()
-            if name.startswith(prefix)
-        }
+        samples: dict = {}
+        for result in self.ok:
+            if result.cached or not result.metrics:
+                continue
+            for record in result.metrics.get(f"{family}_trace") or []:
+                samples.setdefault(record["name"], []).append(
+                    float(record["seconds"]) * 1e3
+                )
+        return {name: _summarize(values) for name, values in sorted(samples.items())}
 
     def distinct_targets(self) -> int:
         """Distinct device+calibration fingerprints among the successful
@@ -131,10 +137,10 @@ class BatchReport:
 
     def summary(self) -> dict:
         """Headline numbers of this run: throughput, hit rate, latency
-        percentiles.  The cache figures count this run's lookups only;
-        :attr:`cache_stats` keeps the cache's lifetime counters."""
-        snap = self.telemetry.snapshot()
-        latency = snap["histograms"].get("job_latency_ms", {})
+        percentiles.  The cache figures count this run's lookups only, and
+        the latencies are this run's jobs'; :attr:`cache_stats` keeps the
+        cache's lifetime counters."""
+        latency = _summarize([r.latency * 1e3 for r in self.results])
         registries = self.store_stats.get("registries", {})
         return {
             "jobs": len(self.results),
@@ -153,9 +159,9 @@ class BatchReport:
             "store_registry_hits": sum(
                 int(stats.get("hits", 0)) for stats in registries.values()
             ),
-            "latency_p50_ms": latency.get("p50", 0.0),
-            "latency_p95_ms": latency.get("p95", 0.0),
-            "latency_p99_ms": latency.get("p99", 0.0),
+            "latency_p50_ms": latency["p50"],
+            "latency_p95_ms": latency["p95"],
+            "latency_p99_ms": latency["p99"],
         }
 
     def render(self) -> str:
@@ -284,7 +290,12 @@ class BatchEngine:
         if self.cache is None:
             return None
         quarantines_before = self.cache.stats.quarantines
-        payload = self.cache.get(state.key)
+        try:
+            payload = self.cache.get(state.key)
+        except OSError:
+            # The disk tier could not be read: the cache counted a miss.
+            self.telemetry.incr("cache_get_failed")
+            payload = None
         quarantined = self.cache.stats.quarantines - quarantines_before
         if quarantined > 0:
             # The lookup tripped over a corrupt disk entry; the cache
@@ -384,6 +395,14 @@ class BatchEngine:
                 return
             self.telemetry.incr("jobs.retries")
             self._sleep(self.retry_base_delay * 2 ** (state.attempts - 1))
+
+
+def _summarize(values: List[float]) -> dict:
+    """A telemetry histogram summary of all of ``values``."""
+    histogram = Histogram(reservoir_size=max(len(values), 1))
+    for value in values:
+        histogram.record(value)
+    return histogram.summary()
 
 
 def _cache_delta(before: dict, after: dict) -> dict:

@@ -13,10 +13,11 @@ fingerprints:
 * :class:`FingerprintRegistry` — the in-process tier: a generic bounded-LRU
   intern registry with hit/miss/eviction telemetry and configurable
   capacity (keyword or environment variable);
-* :class:`ShardedDiskTier` — the durable tier: a fanout-sharded on-disk
-  layout with atomic writes, corrupt-entry quarantine, size-bounded
-  eviction, and per-shard hit/miss/eviction/quarantine telemetry
-  (:class:`~repro.service.cache.ResultCache` is a thin facade over it).
+* :class:`SQLiteDiskTier` — the durable tier: every entry of a cache
+  directory in one SQLite database in WAL mode, with atomic writes,
+  corrupt-entry quarantine, size-bounded eviction and several writer
+  processes per directory (:class:`~repro.service.cache.ResultCache` is a
+  thin facade over it).
 
 A pickled ``CouplingGraph`` or ``Target`` ships content and re-interns on
 arrival (``__reduce__``), so an unpickled copy shares the receiving
@@ -26,7 +27,7 @@ process's tables.
 reports its per-run delta as ``BatchReport.store_stats``.
 """
 
-from .disk import DiskLookup, ShardStats, ShardedDiskTier, shard_for
+from .disk import DiskLookup, DiskTierError, SQLiteDiskTier
 from .registry import (
     FingerprintRegistry,
     all_registries,
@@ -37,12 +38,11 @@ from .registry import (
 
 __all__ = [
     "DiskLookup",
+    "DiskTierError",
     "FingerprintRegistry",
-    "ShardStats",
-    "ShardedDiskTier",
+    "SQLiteDiskTier",
     "all_registries",
     "diff_store_stats",
     "registry_capacity",
-    "shard_for",
     "store_stats",
 ]

@@ -1,396 +1,336 @@
-"""The durable tier: fanout-sharded on-disk JSON entries.
+"""The durable tier: every entry of a cache directory in one SQLite file.
 
-Replaces the single-directory layout of the original
-:class:`~repro.service.cache.ResultCache`, which kept every entry as
-``<key>.json`` in one flat directory — so ``disk_entries()`` and
-``prune_stale()`` were full-directory scans and every stat touched every
-entry.  Here keys fan out over 256 shard directories (two hex characters
-of the key's SHA-256, so arbitrary keys shard uniformly and path-safely)::
+::
 
     cache_dir/
-        3f/<key>.json
-        a0/<key>.json
-        <key>.json          # legacy flat layout, read + migrated on hit
+        cache.sqlite        # table ``entries``: key -> the entry's exact text
+        cache.sqlite-wal    # write-ahead log
+        cache.sqlite-shm    # WAL index
 
-Invariants carried over from the old cache:
+One file per directory, not per entry: creating a new file was most of the
+cost of a cold compile's cache write, while a write here is one
+``INSERT OR REPLACE`` appended to the write-ahead log.
 
-* writes are atomic (unique tmp name in the shard + ``os.replace``);
-* undecodable entries are quarantined to ``<name>.corrupt`` instead of
-  deleted, and quarantines are counted per shard;
-* a legacy flat-layout entry is never silently missed — a shard miss
-  falls back to the root directory and migrates the file into its shard.
+* **Byte identity.**  ``get`` returns exactly the text ``put_text`` stored.
+* **Atomicity.**  Every write is one transaction.
+* **Flush policy.**  WAL with ``synchronous=NORMAL``: no fsync per entry;
+  SQLite syncs the log only when it checkpoints it into the database.  A committed entry survives a crash of
+  the writing process; a power loss may roll back the latest commits, never
+  tear one.
+* **Corruption.**  A read checks that the entry parses as a JSON object; a
+  row that fails moves to the ``quarantine`` table.  A database file SQLite
+  cannot read is renamed to ``cache.sqlite.corrupt`` and the tier starts
+  empty.  Both count in ``quarantines``.
+* **Several writers.**  Processes share a directory through WAL and a busy
+  timeout (:data:`BUSY_TIMEOUT_S`).  Readers never wait for a writer.  A
+  connection never crosses a fork: a forked child opens its own.
+* **Errors.**  Anything SQLite cannot do (a lock held past the timeout, an
+  unwritable directory) raises :class:`DiskTierError`, an ``OSError``.
+* **Budget.**  With ``max_bytes`` set, a write evicts the oldest entries
+  (lowest rowid: ``INSERT OR REPLACE`` gives a rewritten key a new one)
+  until the payload bytes fit.
 
-Scans are shard-aware: counting and pruning walk only shard directories
-that exist (plus the legacy root), and the cumulative number of shard
-directories walked is reported as ``shards_scanned`` so tests can assert
-stats stay O(touched shards).
+``sqlite3`` is imported on first use, so a process that never reads or
+writes a cache directory never loads it.  Directories written by the file
+tier (``<key>.json`` at the root or under two-hex-character shard
+directories) read as a cold cache; :meth:`SQLiteDiskTier.clear` deletes
+their files.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional
 
-__all__ = ["DiskLookup", "ShardStats", "ShardedDiskTier", "shard_for"]
+__all__ = ["BUSY_TIMEOUT_S", "DB_NAME", "DiskLookup", "DiskTierError", "SQLiteDiskTier"]
 
-_SHARD_WIDTH = 2  # 256-way fanout
+DB_NAME = "cache.sqlite"
+
+#: Seconds a statement waits for another connection's lock before failing.
+BUSY_TIMEOUT_S = 5.0
+
+_SCHEMA = (
+    # ``nbytes`` precedes ``text`` so sizing a row never reads its overflow pages.
+    "CREATE TABLE IF NOT EXISTS entries"
+    " (key TEXT PRIMARY KEY, nbytes INTEGER NOT NULL, text TEXT NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS quarantine (key TEXT NOT NULL, text TEXT NOT NULL)",
+)
 
 
-def shard_for(key: str) -> str:
-    """Shard label for a key: first two hex chars of its SHA-256.
-
-    Digest-based (not a key prefix) so short or non-hex keys — test keys
-    like ``"k"`` — shard uniformly and always yield a path-safe name.
-    """
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:_SHARD_WIDTH]
-
-
-@dataclass
-class ShardStats:
-    """Per-shard counters (see :meth:`ShardedDiskTier.shard_stats`)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    quarantines: int = 0
-    migrations: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "quarantines": self.quarantines,
-            "migrations": self.migrations,
-        }
+class DiskTierError(OSError):
+    """The cache database could not be read or written."""
 
 
 @dataclass
 class DiskLookup:
-    """Outcome of a disk get: payload (when hit) plus what happened.
-
-    ``text`` is the entry's exact on-disk bytes (as str) — callers that
-    cached a serialised payload get it back byte-identical; ``payload``
-    is the parsed JSON object.
-    """
+    """Outcome of a disk get: ``text`` is the entry's exact stored text,
+    ``payload`` its parsed JSON object; ``quarantined`` when this lookup
+    moved a corrupt row or database file aside."""
 
     payload: Optional[dict] = None
     text: Optional[str] = None
     hit: bool = False
     quarantined: bool = False
-    migrated: bool = False
 
 
-class ShardedDiskTier:
-    """Sharded, size-bounded, quarantining JSON entry store.
+def _parse(text: str) -> Optional[dict]:
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
 
-    The byte budget is advisory and enforced at put time by evicting the
-    oldest entries (by mtime, across shards) until under budget.  The
-    running byte total is maintained incrementally after one lazy scan;
-    concurrent writers from other processes make it approximate, which
-    is fine for an eviction threshold.
+
+class SQLiteDiskTier:
+    """Size-bounded, quarantining store of JSON entries in one SQLite file.
+
+    ``quarantines`` and ``evictions`` count what this instance moved aside
+    or evicted.  The running byte total behind the budget is this
+    process's view (one exact scan, then incremental), so other writers
+    make it approximate, which is fine for an eviction threshold.
     """
 
-    def __init__(
-        self,
-        directory,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, directory, max_bytes: Optional[int] = None) -> None:
         self.directory = Path(directory)
+        self.path = self.directory / DB_NAME
+        self.corrupt_path = self.directory / (DB_NAME + ".corrupt")
         self.max_bytes = max_bytes
+        self.quarantines = 0
+        self.evictions = 0
         self._lock = threading.Lock()
-        self._shard_stats: Dict[str, ShardStats] = {}
-        self._bytes: Optional[int] = None  # lazy; None until first scan
-        self._shards_scanned = 0
+        self._conn = None
+        self._pid: Optional[int] = None
+        self._bytes: Optional[int] = None
+        self._set_aside = False
 
     # ------------------------------------------------------------------
-    # paths
+    # connection
     # ------------------------------------------------------------------
-    def _shard_dir(self, key: str) -> Path:
-        return self.directory / shard_for(key)
+    def _connect(self, create: bool):
+        if self._conn is not None and self._pid == os.getpid():
+            return self._conn
+        # First use, or first use in a forked child, which must not touch
+        # its parent's connection.
+        self._conn = None
+        if not create and not self.path.exists():
+            return None
+        import sqlite3
 
-    def entry_path(self, key: str) -> Path:
-        return self._shard_dir(key) / f"{key}.json"
+        self.directory.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S, check_same_thread=False)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            for statement in _SCHEMA:
+                conn.execute(statement)
+        except BaseException:
+            conn.close()
+            raise
+        self._conn, self._pid = conn, os.getpid()
+        return conn
 
-    def _legacy_path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _run(self, work: Callable, create: bool = False):
+        """``work(connection)`` under the lock; ``None`` without running it
+        when there is no database yet and ``create`` is false.  A file
+        SQLite cannot read is set aside once and the work retried on a
+        fresh database."""
+        import sqlite3
 
-    def _stats_for(self, key: str) -> ShardStats:
-        shard = shard_for(key)
-        stats = self._shard_stats.get(shard)
-        if stats is None:
-            stats = self._shard_stats[shard] = ShardStats()
-        return stats
+        with self._lock:
+            for retry in (False, True):
+                try:
+                    conn = self._connect(create)
+                    return None if conn is None else work(conn)
+                except sqlite3.Error as exc:
+                    # Only a corrupt file or not a database at all
+                    # (SQLITE_CORRUPT, SQLITE_NOTADB) raises the base class.
+                    if type(exc) is not sqlite3.DatabaseError or retry:
+                        raise DiskTierError(f"{self.path}: {exc}") from exc
+                    self._set_aside_file()
+
+    def _set_aside_file(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+        self._conn = self._bytes = None
+        try:
+            os.replace(self.path, self.corrupt_path)
+        except FileNotFoundError:
+            return  # another process set it aside first
+        for suffix in ("-wal", "-shm"):
+            self.path.with_name(DB_NAME + suffix).unlink(missing_ok=True)
+        self.quarantines += 1
+        self._set_aside = True
 
     # ------------------------------------------------------------------
     # get / put / delete
     # ------------------------------------------------------------------
     def get(self, key: str) -> DiskLookup:
-        path = self.entry_path(key)
-        legacy = False
-        if not path.exists():
-            # Legacy flat layout at the root: validate in place first and
-            # migrate into the shard only on a clean hit, so a corrupt
-            # legacy entry is quarantined where it was found.
-            path = self._legacy_path(key)
-            legacy = True
-            if not path.exists():
-                with self._lock:
-                    self._stats_for(key).misses += 1
-                return DiskLookup()
-        try:
-            text = path.read_text(encoding="utf-8")
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not a JSON object")
-        except (OSError, ValueError):
-            self._quarantine(path)
-            with self._lock:
-                stats = self._stats_for(key)
-                stats.quarantines += 1
-                stats.misses += 1
-            return DiskLookup(quarantined=True)
-        migrated = False
-        if legacy:
-            shard_path = self.entry_path(key)
-            try:
-                shard_path.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, shard_path)
-                migrated = True
-            except OSError:
-                pass
-        with self._lock:
-            stats = self._stats_for(key)
-            stats.hits += 1
-            if migrated:
-                stats.migrations += 1
-        return DiskLookup(payload=payload, text=text, hit=True, migrated=migrated)
+        row = self._run(
+            lambda conn: conn.execute(
+                "SELECT rowid, text FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+        )
+        set_aside, self._set_aside = self._set_aside, False
+        if row is None:
+            return DiskLookup(quarantined=set_aside)
+        rowid, text = row
+        payload = _parse(text)
+        if payload is not None:
+            return DiskLookup(payload=payload, text=text, hit=True)
 
-    def put(self, key: str, payload: dict) -> int:
-        """Atomically write a JSON entry; returns bytes written."""
-        return self.put_text(key, json.dumps(payload))
+        def quarantine(conn) -> bool:
+            with conn:
+                moved = conn.execute(
+                    "INSERT INTO quarantine SELECT key, text FROM entries WHERE rowid = ?",
+                    (rowid,),
+                ).rowcount
+                conn.execute("DELETE FROM entries WHERE rowid = ?", (rowid,))
+            self.quarantines += moved
+            return moved > 0
+
+        # A second reader racing into the same row finds it gone: a plain miss.
+        return DiskLookup(quarantined=bool(self._run(quarantine)))
 
     def put_text(self, key: str, text: str) -> int:
-        """Atomically write an entry's exact text (byte-preserving).
-
-        Unique temp name per writer (pid + thread id): two writers racing
-        on the same key never interleave into one temp file.  Raises
-        ``OSError`` on write failure after removing the temp file.
-        """
-        path = self.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
+        """Store an entry's exact text in one transaction; returns its
+        UTF-8 size.  Raises ``OSError`` when the write fails."""
         nbytes = len(text.encode("utf-8"))
-        with self._lock:
-            self._stats_for(key).puts += 1
-            if self._bytes is not None:
-                self._bytes += nbytes
-        if self.max_bytes is not None:
-            self._evict_to_budget()
+
+        def write(conn) -> None:
+            with conn:
+                conn.execute(
+                    "INSERT OR REPLACE INTO entries (key, nbytes, text) VALUES (?, ?, ?)",
+                    (key, nbytes, text),
+                )
+                if self.max_bytes is not None:
+                    self._evict_to_budget(conn, nbytes)
+
+        self._run(write, create=True)
         return nbytes
 
+    def put(self, key: str, payload: dict) -> int:
+        return self.put_text(key, json.dumps(payload))
+
     def contains(self, key: str) -> bool:
-        """Whether an entry exists (shard or legacy path; stat-free of
-        telemetry — no hit/miss is counted)."""
-        return self.entry_path(key).exists() or self._legacy_path(key).exists()
+        return bool(
+            self._run(
+                lambda conn: conn.execute(
+                    "SELECT 1 FROM entries WHERE key = ?", (key,)
+                ).fetchone()
+            )
+        )
 
     def delete(self, key: str) -> bool:
-        removed = False
-        for path in (self.entry_path(key), self._legacy_path(key)):
-            try:
-                size = path.stat().st_size
-                path.unlink()
-                removed = True
-                with self._lock:
-                    if self._bytes is not None:
-                        self._bytes = max(0, self._bytes - size)
-            except (FileNotFoundError, OSError):
-                continue
-        return removed
+        def remove(conn) -> int:
+            with conn:
+                return conn.execute("DELETE FROM entries WHERE key = ?", (key,)).rowcount
 
-    def _quarantine(self, path: Path) -> None:
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
+        return bool(self._run(remove))
 
-    # ------------------------------------------------------------------
-    # shard-aware scans
-    # ------------------------------------------------------------------
-    def _iter_shard_dirs(self) -> Iterator[Tuple[str, Path]]:
-        """Yield (shard_label, dir) for shard dirs that exist, plus the
-        legacy root — counting each walked dir into ``shards_scanned``."""
-        if not self.directory.is_dir():
+    def _evict_to_budget(self, conn, added: int) -> None:
+        if self._bytes is None:
+            self._bytes = self._total(conn)
+        else:
+            self._bytes += added
+        if self._bytes <= self.max_bytes:
             return
-        for child in sorted(self.directory.iterdir()):
-            if (
-                child.is_dir()
-                and len(child.name) == _SHARD_WIDTH
-                and all(c in "0123456789abcdef" for c in child.name)
-            ):
-                with self._lock:
-                    self._shards_scanned += 1
-                yield child.name, child
-        with self._lock:
-            self._shards_scanned += 1
-        yield "", self.directory  # legacy flat entries at the root
-
-    def _iter_entries(self) -> Iterator[Path]:
-        for _shard, directory in self._iter_shard_dirs():
-            for path in sorted(directory.glob("*.json")):
-                if path.is_file():
-                    yield path
-
-    def entries(self) -> int:
-        return sum(1 for _ in self._iter_entries())
-
-    def bytes_used(self, refresh: bool = False) -> int:
-        with self._lock:
-            if self._bytes is not None and not refresh:
-                return self._bytes
-        total = sum(p.stat().st_size for p in self._iter_entries())
-        with self._lock:
-            self._bytes = total
-        return total
-
-    def prune(
-        self,
-        stale: Callable[[dict], bool],
-        quarantine_corrupt: bool = True,
-    ) -> int:
-        """Remove entries whose payload the predicate marks stale.
-
-        Undecodable entries are quarantined (and counted per shard) by
-        default, or deleted outright with ``quarantine_corrupt=False``
-        (the ``repro cache prune`` semantics).  Returns the number of
-        entries removed either way.
-        """
-        removed = 0
-        for path in list(self._iter_entries()):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError("not an object")
-            except (OSError, ValueError):
-                if quarantine_corrupt:
-                    self._quarantine(path)
-                    with self._lock:
-                        self._shard_stats_for_path(path).quarantines += 1
-                else:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                removed += 1
-                continue
-            if stale(payload):
-                try:
-                    size = path.stat().st_size
-                    path.unlink()
-                    removed += 1
-                    with self._lock:
-                        if self._bytes is not None:
-                            self._bytes = max(0, self._bytes - size)
-                except OSError:
-                    continue
-        return removed
-
-    def _shard_stats_for_path(self, path: Path) -> ShardStats:
-        shard = path.parent.name if path.parent != self.directory else ""
-        stats = self._shard_stats.get(shard)
-        if stats is None:
-            stats = self._shard_stats[shard] = ShardStats()
-        return stats
-
-    def sweep_debris(self) -> int:
-        """Remove writer debris (orphaned ``.tmp``) and quarantined
-        ``.corrupt`` files across all shard dirs and the legacy root."""
-        removed = 0
-        for _shard, directory in self._iter_shard_dirs():
-            for pattern in ("*.tmp", "*.json.corrupt"):
-                for path in directory.glob(pattern):
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        continue
-        return removed
-
-    def clear(self, debris: bool = True) -> int:
-        """Delete every entry (and, by default, tmp/corrupt debris)."""
-        removed = 0
-        for path in list(self._iter_entries()):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        if debris:
-            self.sweep_debris()
-        with self._lock:
-            self._bytes = 0 if self.directory.is_dir() else None
-        return removed
-
-    def _evict_to_budget(self) -> None:
-        total = self.bytes_used()
-        if self.max_bytes is None or total <= self.max_bytes:
-            return
-        aged = []
-        for path in self._iter_entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            aged.append((stat.st_mtime, stat.st_size, path))
-        aged.sort()
-        for _mtime, size, path in aged:
+        rows = conn.execute("SELECT rowid, nbytes FROM entries ORDER BY rowid").fetchall()
+        total = sum(nbytes for _, nbytes in rows)
+        doomed = []
+        for rowid, nbytes in rows:
             if total <= self.max_bytes:
                 break
+            doomed.append((rowid,))
+            total -= nbytes
+        conn.executemany("DELETE FROM entries WHERE rowid = ?", doomed)
+        self.evictions += len(doomed)
+        self._bytes = total
+
+    @staticmethod
+    def _total(conn) -> int:
+        return int(conn.execute("SELECT total(nbytes) FROM entries").fetchone()[0])
+
+    # ------------------------------------------------------------------
+    # maintenance
+    # ------------------------------------------------------------------
+    def entries(self) -> int:
+        return self._run(
+            lambda conn: conn.execute("SELECT count(*) FROM entries").fetchone()[0]
+        ) or 0
+
+    def bytes_used(self) -> int:
+        """Exact payload bytes over every entry (resets the running total)."""
+        def scan(conn) -> int:
+            self._bytes = self._total(conn)
+            return self._bytes
+
+        return self._run(scan) or 0
+
+    def prune(self, stale: Callable[[dict], bool]) -> int:
+        """Delete entries that do not parse as a JSON object or whose
+        payload the predicate marks stale; returns how many."""
+        def sweep(conn) -> int:
+            doomed = [
+                (rowid,)
+                for rowid, text in conn.execute("SELECT rowid, text FROM entries")
+                if (payload := _parse(text)) is None or stale(payload)
+            ]
+            with conn:
+                conn.executemany("DELETE FROM entries WHERE rowid = ?", doomed)
+            self._bytes = None
+            return len(doomed)
+
+        return self._run(sweep) or 0
+
+    def sweep_quarantine(self) -> int:
+        """Delete quarantined rows and set-aside database files; returns
+        how many."""
+        def empty(conn) -> int:
+            with conn:
+                return conn.execute("DELETE FROM quarantine").rowcount
+
+        removed = self._run(empty) or 0
+        if self.corrupt_path.exists():
+            self.corrupt_path.unlink()
+            removed += 1
+        return removed
+
+    def clear(self) -> int:
+        """Delete every entry, the quarantine and any file-tier leftovers;
+        returns the number of entries deleted."""
+        def empty(conn) -> int:
+            with conn:
+                removed = conn.execute("DELETE FROM entries").rowcount
+            conn.execute("VACUUM")
+            self._bytes = 0
+            return removed
+
+        self.sweep_quarantine()
+        removed = self._run(empty) or 0
+        for path in self._file_tier_leftovers():
+            path.unlink(missing_ok=True)
+        for shard in self._file_tier_shards():
             try:
-                path.unlink()
+                shard.rmdir()
             except OSError:
-                continue
-            total -= size
-            shard = path.parent.name if path.parent != self.directory else ""
-            with self._lock:
-                stats = self._shard_stats.get(shard)
-                if stats is None:
-                    stats = self._shard_stats[shard] = ShardStats()
-                stats.evictions += 1
-                self._bytes = max(0, total)
+                pass  # holds something this tier did not write
+        return removed
 
-    # ------------------------------------------------------------------
-    # telemetry
-    # ------------------------------------------------------------------
-    def shard_stats(self) -> Dict[str, ShardStats]:
-        with self._lock:
-            return {k: ShardStats(**v.as_dict()) for k, v in self._shard_stats.items()}
+    def _file_tier_shards(self) -> Iterator[Path]:
+        return (p for p in self.directory.glob("[0-9a-f][0-9a-f]") if p.is_dir())
 
-    def stats(self) -> Dict[str, object]:
+    def _file_tier_leftovers(self) -> Iterator[Path]:
+        for directory in (self.directory, *self._file_tier_shards()):
+            for pattern in ("*.json", "*.json.corrupt", "*.tmp"):
+                yield from directory.glob(pattern)
+
+    def close(self) -> None:
+        """Close this process's connection (the next call reopens it)."""
         with self._lock:
-            totals = ShardStats()
-            for s in self._shard_stats.values():
-                totals.hits += s.hits
-                totals.misses += s.misses
-                totals.puts += s.puts
-                totals.evictions += s.evictions
-                totals.quarantines += s.quarantines
-                totals.migrations += s.migrations
-            out = totals.as_dict()
-            out["shards"] = len(self._shard_stats)
-            out["shards_scanned"] = self._shards_scanned
-            out["max_bytes"] = self.max_bytes
-            return out
+            if self._conn is not None and self._pid == os.getpid():
+                self._conn.close()
+            self._conn = None

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import io
+import re
 
 import pytest
 
@@ -343,17 +344,49 @@ class TestCacheCommand:
     def test_prune_removes_stale_only(self, tmp_path):
         import json
 
+        from repro.store import SQLiteDiskTier
+
         cache_dir = self._populate(tmp_path)
-        stale = cache_dir / "deadbeef.json"
-        stale.write_text(json.dumps({"format_version": 0}))
+        tier = SQLiteDiskTier(cache_dir)
+        tier.put_text("deadbeef", json.dumps({"format_version": 0}))
         code, text = _run(["cache", "prune", "--dir", str(cache_dir)])
         assert code == 0
         assert "pruned 1" in text
-        assert not stale.exists()
+        assert "(2 remain)" in text
+        assert not tier.contains("deadbeef")
 
     def test_clear(self, tmp_path):
+        """clear empties the database and deletes the files an earlier
+        one-file-per-entry cache left in the directory."""
         cache_dir = self._populate(tmp_path)
+        (cache_dir / "old.json").write_text("{}")
+        (cache_dir / "3f").mkdir()
+        (cache_dir / "3f" / "old.json").write_text("{}")
         code, text = _run(["cache", "clear", "--dir", str(cache_dir)])
         assert code == 0
         assert "cleared 2" in text
-        assert list(cache_dir.glob("*.json")) == []
+        assert list(cache_dir.glob("**/*.json")) == []
+        code, text = _run(["cache", "stats", "--dir", str(cache_dir)])
+        assert re.search(r"entries +0\n", text)
+
+    def test_locked_database_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        import gc
+        import sqlite3
+
+        import repro.store.disk as disk
+
+        monkeypatch.setattr(disk, "BUSY_TIMEOUT_S", 0.05)
+        cache_dir = self._populate(tmp_path)
+        # An exclusive lock needs the batch run's connection closed; the
+        # sqlite3 module frees a dropped connection at the next collection.
+        gc.collect()
+        holder = sqlite3.connect(cache_dir / "cache.sqlite", isolation_level=None)
+        holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            code, _ = _run(["cache", "stats", "--dir", str(cache_dir)])
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cache directory")

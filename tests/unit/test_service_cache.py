@@ -1,12 +1,12 @@
 """Unit tests for the content-addressed result cache."""
 
 import json
-import pathlib
+import sqlite3
 
 import pytest
 
 from repro.service import ResultCache
-from repro.store import shard_for
+from repro.store import SQLiteDiskTier
 
 
 def _payload(tag: str, size: int = 0, version: int = 1) -> str:
@@ -73,6 +73,13 @@ class TestMemoryLru:
         assert cache.current_bytes == 0
 
 
+def _store(directory, key, text):
+    """Write an entry's text straight into the disk tier."""
+    tier = SQLiteDiskTier(directory)
+    tier.put_text(key, text)
+    tier.close()
+
+
 class TestDiskTier:
     def test_persists_across_instances(self, tmp_path):
         d = str(tmp_path / "cache")
@@ -92,41 +99,43 @@ class TestDiskTier:
 
     def test_version_invalidation_deletes_stale_file(self, tmp_path):
         d = tmp_path / "cache"
-        d.mkdir()
-        (d / "stale.json").write_text(_payload("old", version=99))
+        _store(d, "stale", _payload("old", version=99))
         cache = ResultCache(directory=str(d), expected_version=1)
         assert cache.get("stale") is None
-        assert not (d / "stale.json").exists()
+        assert "stale" not in cache
         assert cache.stats.invalidations == 1
 
     def test_corrupt_file_treated_as_stale(self, tmp_path):
         d = tmp_path / "cache"
-        d.mkdir()
-        (d / "junk.json").write_text("{not json")
+        _store(d, "junk", "{not json")
         cache = ResultCache(directory=str(d), expected_version=1)
         assert cache.get("junk") is None
-        assert not (d / "junk.json").exists()
+        assert "junk" not in cache
 
     def test_corrupt_file_quarantined_not_lost(self, tmp_path):
         d = tmp_path / "cache"
-        d.mkdir()
-        (d / "junk.json").write_text('{"truncated": ')
+        _store(d, "junk", '{"truncated": ')
         cache = ResultCache(directory=str(d))
         assert cache.get("junk") is None
-        assert (d / "junk.json.corrupt").exists()
+        with sqlite3.connect(d / "cache.sqlite") as conn:
+            rows = conn.execute("SELECT key, text FROM quarantine").fetchall()
+        assert rows == [("junk", '{"truncated": ')]
         assert cache.stats.invalidations == 1
-        # The quarantined file no longer counts as a disk entry and a
+        # The quarantined row no longer counts as a disk entry and a
         # fresh put for the same key works normally.
         assert cache.disk_entries() == 0
         cache.put("junk", _payload("fresh"))
         assert cache.get("junk") == _payload("fresh")
 
     def test_put_leaves_no_temp_files(self, tmp_path):
+        """The directory holds the database and its WAL files only."""
         d = tmp_path / "cache"
         cache = ResultCache(directory=str(d))
         for i in range(5):
             cache.put(f"k{i}", _payload(str(i)))
-        assert list(pathlib.Path(d).glob("*.tmp")) == []
+        assert {p.name for p in d.iterdir()} <= {
+            "cache.sqlite", "cache.sqlite-wal", "cache.sqlite-shm",
+        }
         assert cache.disk_entries() == 5
 
     def test_put_overwrites_atomically(self, tmp_path):
@@ -134,8 +143,8 @@ class TestDiskTier:
         cache = ResultCache(directory=str(d), max_entries=1)
         cache.put("k", _payload("first"))
         cache.put("k", _payload("second"))
-        entry = pathlib.Path(d) / shard_for("k") / "k.json"
-        assert entry.read_text() == _payload("second")
+        assert ResultCache(directory=str(d)).get("k") == _payload("second")
+        assert cache.disk_entries() == 1
 
     def test_put_rejects_wrong_version(self, tmp_path):
         cache = ResultCache(
@@ -146,24 +155,23 @@ class TestDiskTier:
 
     def test_prune_stale(self, tmp_path):
         d = tmp_path / "cache"
-        d.mkdir()
-        (d / "good.json").write_text(_payload("good", version=1))
-        (d / "old1.json").write_text(_payload("old", version=0))
-        (d / "old2.json").write_text("garbage")
+        _store(d, "good", _payload("good", version=1))
+        _store(d, "old1", _payload("old", version=0))
+        _store(d, "old2", "garbage")
         cache = ResultCache(directory=str(d), expected_version=1)
         assert cache.prune_stale() == 2
         assert cache.disk_entries() == 1
 
     def test_prune_stale_sweeps_writer_debris(self, tmp_path):
+        """prune also drops quarantined rows and set-aside database files."""
         d = tmp_path / "cache"
-        d.mkdir()
-        (d / "good.json").write_text(_payload("good", version=1))
-        (d / "orphan.12345.678.tmp").write_text("partial write")
-        (d / "bad.json.corrupt").write_text("{quarantined")
+        _store(d, "good", _payload("good", version=1))
+        _store(d, "bad", "{quarantined")
         cache = ResultCache(directory=str(d), expected_version=1)
+        assert cache.get("bad") is None  # moves the row to the quarantine
+        (d / "cache.sqlite.corrupt").write_bytes(b"a set-aside database")
         assert cache.prune_stale() == 2
         assert cache.disk_entries() == 1
-        assert list(d.glob("*.tmp")) == []
         assert list(d.glob("*.corrupt")) == []
 
     def test_clear_disk(self, tmp_path):
@@ -179,36 +187,26 @@ class TestDiskTier:
 
 
 class TestShardedFacade:
-    """ResultCache as a facade over repro.store.ShardedDiskTier."""
+    """ResultCache as a facade over repro.store.SQLiteDiskTier (the class
+    keeps the sharded file tier's name)."""
 
-    def test_legacy_flat_entry_still_readable_and_migrates(self, tmp_path):
+    def test_file_tier_entries_read_cold(self, tmp_path):
+        """A directory the file tier wrote, flat or sharded, is a cold cache."""
         d = tmp_path / "cache"
-        d.mkdir()
-        (d / "old.json").write_text(_payload("legacy"))
+        (d / "3f").mkdir(parents=True)
+        (d / "old.json").write_text(_payload("flat"))
+        (d / "3f" / "old.json").write_text(_payload("sharded"))
         cache = ResultCache(directory=str(d), expected_version=1)
-        assert json.loads(cache.get("old"))["tag"] == "legacy"
-        # The hit moved the entry into its shard.
-        assert not (d / "old.json").exists()
-        assert (d / shard_for("old") / "old.json").exists()
+        assert cache.get("old") is None
+        assert cache.stats.misses == 1 and cache.stats.quarantines == 0
+        cache.clear(disk=True)
+        assert not (d / "old.json").exists() and not (d / "3f").exists()
 
-    def test_legacy_payload_byte_identical_after_migration(self, tmp_path):
-        d = tmp_path / "cache"
-        d.mkdir()
-        text = _payload("exact")
-        (d / "k.json").write_text(text)
-        cache = ResultCache(directory=str(d), expected_version=1)
-        assert cache.get("k") == text
-        # Warm read from the sharded path returns the same bytes.
-        fresh = ResultCache(directory=str(d), expected_version=1)
-        assert fresh.get("k") == text
-
-    def test_shard_stats_exposed(self, tmp_path):
-        cache = ResultCache(directory=str(tmp_path / "cache"))
-        cache.put("k", _payload("a"))
-        fresh = ResultCache(directory=str(tmp_path / "cache"))
-        fresh.get("k")
-        stats = fresh.shard_stats()
-        assert stats[shard_for("k")]["hits"] == 1
+    def test_payload_byte_identical_across_instances(self, tmp_path):
+        d = str(tmp_path / "cache")
+        text = '{"format_version": 1,   "tag":"exact"}'
+        ResultCache(directory=d, expected_version=1).put("k", text)
+        assert ResultCache(directory=d, expected_version=1).get("k") == text
 
     def test_max_disk_bytes_evicts(self, tmp_path):
         one = _payload("a", size=400)
@@ -229,17 +227,47 @@ class TestShardedFacade:
         with pytest.raises(ValueError):
             ResultCache(directory=str(tmp_path), max_disk_bytes=0)
 
+    def test_unreadable_database_is_a_counted_miss(self, tmp_path, monkeypatch):
+        import repro.store.disk as disk
+
+        monkeypatch.setattr(disk, "BUSY_TIMEOUT_S", 0.05)
+        d = tmp_path / "cache"
+        _store(d, "k", _payload("a"))
+        holder = sqlite3.connect(d / "cache.sqlite", isolation_level=None)
+        holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            cache = ResultCache(directory=str(d))
+            with pytest.raises(OSError):
+                cache.get("k")
+            assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert cache.get("k") == _payload("a")
+
 
 class TestQuarantineCounter:
     def test_quarantine_increments_dedicated_counter(self, tmp_path):
         d = tmp_path / "cache"
-        d.mkdir()
-        (d / "bad.json").write_text('{"truncated": ')
+        _store(d, "bad", '{"truncated": ')
         cache = ResultCache(directory=str(d))
         assert cache.stats.quarantines == 0
         assert cache.get("bad") is None
         assert cache.stats.quarantines == 1
         assert cache.stats.snapshot()["quarantines"] == 1
+
+    def test_garbage_database_counts_once(self, tmp_path):
+        d = tmp_path / "cache"
+        d.mkdir()
+        (d / "cache.sqlite").write_bytes(b"garbage" * 64)
+        cache = ResultCache(directory=str(d))
+        assert cache.get("k") is None
+        assert cache.get("k") is None
+        assert cache.stats.quarantines == 1
+        assert (d / "cache.sqlite.corrupt").exists()
+        cache.put("k", _payload("a"))
+        assert ResultCache(directory=str(d)).get("k") == _payload("a")
 
     def test_plain_miss_does_not_quarantine(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path / "cache"))

@@ -21,7 +21,9 @@ from repro.service import (
 )
 from repro.service import job as job_module
 from repro.service.job import decode_envelope, encode_envelope
+from repro.service.telemetry import percentile
 from repro.sim.fastpath import clear_diagonal_registry
+from repro.store import SQLiteDiskTier
 
 
 def _program(n=5):
@@ -227,22 +229,29 @@ class TestSleepHook:
         assert engine.run(_jobs(1)).results[0].ok
 
 
+def _rewrite_entry(directory, key, edit):
+    """Replace a cached entry's text with ``edit(text)`` through the disk
+    tier; returns the new text."""
+    tier = SQLiteDiskTier(directory)
+    text = edit(tier.get(key).text)
+    tier.put_text(key, text)
+    tier.close()
+    return text
+
+
 class TestCacheQuarantineTelemetry:
     def test_truncated_entry_counts_as_quarantined(self, tmp_path):
-        import pathlib
+        import sqlite3
 
         directory = str(tmp_path / "cache")
         jobs = _jobs(1)
-        run_batch(
+        cold = run_batch(
             jobs,
             cache=ResultCache(
                 directory=directory, expected_version=FORMAT_VERSION
             ),
-        )
-        entries = list(pathlib.Path(directory).glob("**/*.json"))
-        assert entries
-        for entry in entries:
-            entry.write_text('{"truncated": ')  # the crash mid-write
+        ).results[0]
+        _rewrite_entry(directory, cold.key, lambda text: '{"truncated": ')
 
         cache = ResultCache(
             directory=directory, expected_version=FORMAT_VERSION
@@ -253,8 +262,9 @@ class TestCacheQuarantineTelemetry:
         assert not report.results[0].cached
         assert engine.telemetry.counter("cache_quarantined") == 1
         assert report.summary()["cache_quarantined"] == 1
-        # the poisoned file was moved aside, not silently deleted
-        assert list(pathlib.Path(directory).glob("**/*.json.corrupt"))
+        # the poisoned row was moved aside, not silently deleted
+        with sqlite3.connect(tmp_path / "cache" / "cache.sqlite") as conn:
+            assert conn.execute("SELECT key FROM quarantine").fetchall() == [(cold.key,)]
 
 
 class TestCacheLookupCounts:
@@ -393,8 +403,6 @@ class TestCouplingRefusal:
         assert engine.telemetry.counter("jobs.retries") == 0
 
     def test_tampered_cached_document_raises_coupling_error(self, tmp_path):
-        import pathlib
-
         from repro.compiler import CouplingError
 
         directory = str(tmp_path / "cache")
@@ -404,10 +412,13 @@ class TestCouplingRefusal:
             cache=ResultCache(directory=directory, expected_version=FORMAT_VERSION),
         ).results[0]
         a, b = _uncoupled_pair(cold.compiled().coupling)
-        (entry,) = pathlib.Path(directory).glob("**/*.json")
-        envelope = json.loads(entry.read_text())
-        envelope["compiled"]["qasm"] += f"cx q[{a}],q[{b}];\n"
-        entry.write_text(json.dumps(envelope))
+
+        def tamper(text):
+            envelope = json.loads(text)
+            envelope["compiled"]["qasm"] += f"cx q[{a}],q[{b}];\n"
+            return json.dumps(envelope)
+
+        _rewrite_entry(directory, cold.key, tamper)
 
         warm = run_batch(
             jobs,
@@ -423,31 +434,31 @@ class TestStaleFormatVersion:
         """Entries cached before measures moved to the final homes carry
         format version 4: the engine must recompile them, not serve
         them, and the fresh result measures every qubit last."""
-        import json
-        import pathlib
-
         directory = str(tmp_path / "cache")
         jobs = _jobs(1, method="naive", device="ibmq_16_melbourne")
-        run_batch(
+        cold = run_batch(
             jobs,
             cache=ResultCache(
                 directory=directory, expected_version=FORMAT_VERSION
             ),
-        )
-        (entry,) = pathlib.Path(directory).glob("**/*.json")
-        envelope = json.loads(entry.read_text())
-        assert envelope["format_version"] == FORMAT_VERSION == 5
-        # Rewrite it as a version-4 entry whose measures come first, so
-        # serving it instead of recompiling would show.
-        lines = envelope["compiled"]["qasm"].splitlines()
-        measures = [line for line in lines if line.startswith("measure")]
-        rest = [line for line in lines if not line.startswith("measure")]
-        head = next(i for i, line in enumerate(rest) if line.startswith("creg"))
-        envelope["compiled"]["qasm"] = "\n".join(
-            rest[: head + 1] + measures + rest[head + 1:]
-        )
-        envelope["format_version"] = envelope["compiled"]["format_version"] = 4
-        entry.write_text(json.dumps(envelope))
+        ).results[0]
+
+        def as_v4(text):
+            envelope = json.loads(text)
+            assert envelope["format_version"] == FORMAT_VERSION == 5
+            # Rewrite it as a version-4 entry whose measures come first, so
+            # serving it instead of recompiling would show.
+            lines = envelope["compiled"]["qasm"].splitlines()
+            measures = [line for line in lines if line.startswith("measure")]
+            rest = [line for line in lines if not line.startswith("measure")]
+            head = next(i for i, line in enumerate(rest) if line.startswith("creg"))
+            envelope["compiled"]["qasm"] = "\n".join(
+                rest[: head + 1] + measures + rest[head + 1:]
+            )
+            envelope["format_version"] = envelope["compiled"]["format_version"] = 4
+            return json.dumps(envelope)
+
+        _rewrite_entry(directory, cold.key, as_v4)
 
         cache = ResultCache(directory=directory, expected_version=FORMAT_VERSION)
         report = BatchEngine(cache=cache).run(jobs)
@@ -461,7 +472,8 @@ class TestStaleFormatVersion:
             compiled.final_mapping[q] for q in range(n)
         ]
         assert all(inst.name == "measure" for inst in tail)
-        assert json.loads(entry.read_text())["format_version"] == 5
+        stored = SQLiteDiskTier(directory).get(cold.key).payload
+        assert stored["format_version"] == 5
 
 
 class TestPre2Envelopes:
@@ -607,6 +619,73 @@ class TestCachePutFailure:
         assert report.telemetry.counter("cache_put_failed") == 2
         warm = BatchEngine(cache=cache).run(jobs)
         assert [r.cached for r in warm.results] == [True, True]
+
+
+class TestLockedDisk:
+    def test_locked_database_is_a_counted_miss_and_failed_put(
+        self, tmp_path, monkeypatch
+    ):
+        """A cache database held locked past the busy timeout: each lookup
+        is a counted miss, each write ``cache_put_failed``, and the run
+        still returns every result."""
+        import sqlite3
+
+        import repro.store.disk as disk
+
+        monkeypatch.setattr(disk, "BUSY_TIMEOUT_S", 0.05)
+        directory = tmp_path / "cache"
+        jobs = _jobs(3)
+        tier = SQLiteDiskTier(directory)
+        tier.put("unrelated", {"format_version": FORMAT_VERSION})
+        tier.close()
+        holder = sqlite3.connect(directory / "cache.sqlite", isolation_level=None)
+        holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            cache = ResultCache(
+                directory=str(directory), expected_version=FORMAT_VERSION
+            )
+            report = BatchEngine(cache=cache).run(jobs)
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert [r.ok for r in report.results] == [True, True, True]
+        assert not any(r.cached for r in report.results)
+        assert report.telemetry.counter("cache_get_failed") == 3
+        assert report.telemetry.counter("cache_put_failed") == 3
+        assert (report.run_cache_stats["hits"], report.run_cache_stats["misses"]) == (0, 3)
+        assert report.summary()["cache_hit_rate"] == 0.0
+        # The lock gone, the same cache works again.
+        warm = BatchEngine(cache=cache).run(jobs)
+        assert all(r.ok for r in warm.results)
+
+
+class TestPerRunLatency:
+    def test_reused_engine_reports_each_runs_own_latency(self):
+        """Cold then warm on one engine: the warm run's percentiles and
+        stage summary are its own, not the engine's lifetime telemetry."""
+        engine = BatchEngine(cache=ResultCache())
+        jobs = _jobs(4)
+        cold = engine.run(jobs)
+        warm = engine.run(jobs)
+        assert all(r.cached for r in warm.results)
+        for report in (cold, warm):
+            latencies = [r.latency * 1e3 for r in report.results]
+            summary = report.summary()
+            for q in (50, 95, 99):
+                assert summary[f"latency_p{q}_ms"] == pytest.approx(
+                    percentile(latencies, q)
+                )
+        assert warm.summary()["latency_p50_ms"] < cold.summary()["latency_p50_ms"]
+        # Nothing ran in the warm run, so it has no stage samples.
+        assert warm.stage_summary("pass") == {}
+        stages = cold.stage_summary("pass")
+        assert stages and all(s["count"] == 4 for s in stages.values())
+        assert stages == {
+            name[len("pass_ms."):]: summary
+            for name, summary in engine.telemetry.snapshot()["histograms"].items()
+            if name.startswith("pass_ms.")
+        }
 
 
 class TestStoreStats:

@@ -1,19 +1,21 @@
 """Unit tests for the content-addressed artifact store (repro.store)."""
 
 import json
-import os
+import sqlite3
+import threading
 
 import pytest
 
 from repro.store import (
+    DiskTierError,
     FingerprintRegistry,
-    ShardedDiskTier,
+    SQLiteDiskTier,
     all_registries,
     diff_store_stats,
     registry_capacity,
-    shard_for,
     store_stats,
 )
+from repro.store import disk as disk_module
 
 
 # ----------------------------------------------------------------------
@@ -156,84 +158,65 @@ class TestRegistryCapacityKnobs:
 
 
 # ----------------------------------------------------------------------
-# ShardedDiskTier
+# SQLiteDiskTier
 # ----------------------------------------------------------------------
+def _quarantined_rows(directory):
+    with sqlite3.connect(directory / disk_module.DB_NAME) as conn:
+        return conn.execute("SELECT key, text FROM quarantine").fetchall()
+
+
 class TestShardedDiskTier:
-    def test_shard_for_is_stable_and_path_safe(self):
-        assert shard_for("k") == shard_for("k")
-        assert len(shard_for("any/key with spaces")) == 2
-        assert all(c in "0123456789abcdef" for c in shard_for("k"))
+    """The file tier's guarantees, checked on the SQLite tier that replaced
+    it; the class keeps the old tier's name."""
 
     def test_put_get_roundtrip(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path)
+        tier = SQLiteDiskTier(tmp_path)
         tier.put("k", {"v": 1})
         lookup = tier.get("k")
         assert lookup.hit
         assert lookup.payload == {"v": 1}
-        assert (tmp_path / shard_for("k") / "k.json").exists()
+        assert (tmp_path / "cache.sqlite").exists()
 
     def test_text_is_byte_identical(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path)
-        text = '{"v":1,  "weird":   "spacing"}'
-        tier.put_text("k", text)
-        assert tier.get("k").text == text
-
-    def test_legacy_flat_entry_migrates_on_hit(self, tmp_path):
-        (tmp_path / "old.json").write_text(json.dumps({"v": "legacy"}))
-        tier = ShardedDiskTier(tmp_path)
-        lookup = tier.get("old")
-        assert lookup.hit and lookup.migrated
-        assert not (tmp_path / "old.json").exists()
-        assert (tmp_path / shard_for("old") / "old.json").exists()
-        assert tier.stats()["migrations"] == 1
-        # Second read comes straight from the shard.
-        assert tier.get("old").payload == {"v": "legacy"}
+        text = '{"v":1,  "weird":   "spacing", "u": "\\u00e9 é"}'
+        SQLiteDiskTier(tmp_path).put_text("k", text)
+        assert SQLiteDiskTier(tmp_path).get("k").text == text
 
     def test_corrupt_legacy_quarantined_in_place(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{torn")
-        tier = ShardedDiskTier(tmp_path)
-        lookup = tier.get("bad")
+        """A database file SQLite cannot read is renamed aside where it
+        lies, counted, and the tier starts cold."""
+        (tmp_path / "cache.sqlite").write_bytes(b"not a database" * 100)
+        tier = SQLiteDiskTier(tmp_path)
+        lookup = tier.get("k")
         assert lookup.quarantined and not lookup.hit
-        assert (tmp_path / "bad.json.corrupt").exists()
-        assert not (tmp_path / shard_for("bad")).exists()
+        assert tier.quarantines == 1
+        assert (tmp_path / "cache.sqlite.corrupt").read_bytes().startswith(b"not a")
+        tier.put("k", {"v": 1})
+        assert tier.get("k").payload == {"v": 1}
 
     def test_corrupt_shard_entry_quarantined_and_counted(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path)
-        tier.put("k", {"v": 1})
-        tier.entry_path("k").write_text("{torn")
-        assert tier.get("k").quarantined
-        shard = shard_for("k")
-        assert tier.shard_stats()[shard].quarantines == 1
-        assert (tmp_path / shard / "k.json.corrupt").exists()
-
-    def test_scans_are_o_touched_shards(self, tmp_path):
-        """entries() walks only shard dirs that exist (plus the legacy
-        root), not all 256 — the shard-aware-scan satellite."""
-        tier = ShardedDiskTier(tmp_path)
-        keys = ["a", "b", "c"]
-        for k in keys:
-            tier.put(k, {"k": k})
-        distinct = len({shard_for(k) for k in keys})
-        before = tier.stats()["shards_scanned"]
-        assert tier.entries() == 3
-        walked = tier.stats()["shards_scanned"] - before
-        assert walked == distinct + 1  # + the legacy root
+        tier = SQLiteDiskTier(tmp_path)
+        tier.put_text("k", "{torn")
+        lookup = tier.get("k")
+        assert lookup.quarantined and not lookup.hit
+        assert tier.quarantines == 1
+        assert not tier.contains("k")
+        assert _quarantined_rows(tmp_path) == [("k", "{torn")]
+        # The next lookup is a plain miss.
+        assert not tier.get("k").quarantined
 
     def test_byte_budget_evicts_oldest(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path, max_bytes=150)
+        tier = SQLiteDiskTier(tmp_path, max_bytes=150)
         payload = {"pad": "x" * 50}
-        tier.put("first", payload)
-        os.utime(
-            tier.entry_path("first"), (1, 1)
-        )  # make "first" unambiguously oldest
-        tier.put("second", payload)
-        tier.put("third", payload)
-        assert tier.bytes_used(refresh=True) <= 150
+        for key in ("first", "second", "third"):
+            tier.put(key, payload)
+        assert tier.bytes_used() <= 150
         assert not tier.contains("first")
-        assert sum(s.evictions for s in tier.shard_stats().values()) >= 1
+        assert tier.contains("second") and tier.contains("third")
+        assert tier.evictions == 1
 
     def test_prune_stale_predicate(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path)
+        tier = SQLiteDiskTier(tmp_path)
         tier.put("keep", {"version": 2})
         tier.put("drop", {"version": 1})
         removed = tier.prune(lambda p: p.get("version") == 1)
@@ -242,39 +225,171 @@ class TestShardedDiskTier:
         assert not tier.contains("drop")
 
     def test_prune_delete_corrupt_mode(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path)
-        tier.put("bad", {"v": 1})
-        tier.entry_path("bad").write_text("{torn")
-        removed = tier.prune(lambda p: False, quarantine_corrupt=False)
-        assert removed == 1
-        assert not tier.entry_path("bad").exists()
-        assert not tier.entry_path("bad").with_suffix(
-            ".json.corrupt"
-        ).exists()
+        """prune() deletes a corrupt row outright; it is not quarantined."""
+        tier = SQLiteDiskTier(tmp_path)
+        tier.put_text("bad", "{torn")
+        assert tier.prune(lambda p: False) == 1
+        assert not tier.contains("bad")
+        assert _quarantined_rows(tmp_path) == []
 
     def test_sweep_debris(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path)
+        """The quarantine sweep drops quarantined rows and set-aside
+        database files."""
+        tier = SQLiteDiskTier(tmp_path)
         tier.put("k", {"v": 1})
-        (tmp_path / "orphan.1.2.tmp").write_text("partial")
-        (tmp_path / shard_for("k") / "x.json.corrupt").write_text("{")
-        assert tier.sweep_debris() == 2
+        tier.put_text("bad", "{")
+        assert tier.get("bad").quarantined
+        (tmp_path / "cache.sqlite.corrupt").write_bytes(b"old garbage")
+        assert tier.sweep_quarantine() == 2
+        assert _quarantined_rows(tmp_path) == []
+        assert not (tmp_path / "cache.sqlite.corrupt").exists()
         assert tier.entries() == 1
 
     def test_clear(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path)
+        tier = SQLiteDiskTier(tmp_path)
         for k in ("a", "b"):
             tier.put(k, {"k": k})
         assert tier.clear() == 2
         assert tier.entries() == 0
         assert tier.bytes_used() == 0
 
-    def test_delete_covers_both_layouts(self, tmp_path):
-        (tmp_path / "legacy.json").write_text("{}")
-        tier = ShardedDiskTier(tmp_path)
-        tier.put("sharded", {})
-        assert tier.delete("legacy")
-        assert tier.delete("sharded")
+
+class TestSQLiteDiskTier:
+    def test_miss_creates_no_database(self, tmp_path):
+        tier = SQLiteDiskTier(tmp_path / "cache")
+        lookup = tier.get("absent")
+        assert not lookup.hit and not lookup.quarantined
+        assert not (tmp_path / "cache").exists()
+
+    def test_file_tier_directory_reads_cold(self, tmp_path):
+        """Entries the file tier wrote (flat or sharded) are not read, and
+        clear() deletes them."""
+        (tmp_path / "old.json").write_text(json.dumps({"v": "flat"}))
+        (tmp_path / "3f").mkdir()
+        (tmp_path / "3f" / "old2.json").write_text(json.dumps({"v": "sharded"}))
+        (tmp_path / "3f" / "old3.json.corrupt").write_text("{")
+        (tmp_path / "old4.1.2.tmp").write_text("partial")
+        tier = SQLiteDiskTier(tmp_path)
+        assert not tier.get("old").hit and not tier.get("old2").hit
+        tier.put("new", {"v": 1})
+        assert tier.entries() == 1
+        assert tier.clear() == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cache.sqlite", "cache.sqlite-shm", "cache.sqlite-wal",
+        ]
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"a string"', "null"])
+    def test_non_object_row_quarantined(self, tmp_path, text):
+        tier = SQLiteDiskTier(tmp_path)
+        tier.put_text("k", text)
+        assert tier.get("k").quarantined
+        assert _quarantined_rows(tmp_path) == [("k", text)]
+
+    def test_garbage_database_found_by_a_put(self, tmp_path):
+        (tmp_path / "cache.sqlite").write_bytes(b"not a database" * 100)
+        tier = SQLiteDiskTier(tmp_path)
+        tier.put("k", {"v": 1})
+        assert tier.quarantines == 1
+        assert tier.get("k").payload == {"v": 1}
+
+    def test_entries_counts_distinct_keys(self, tmp_path):
+        tier = SQLiteDiskTier(tmp_path)
+        for k in ("a", "b", "a", "c", "a"):
+            tier.put(k, {"k": k})
+        assert tier.entries() == 3
+
+    def test_rewrite_makes_an_entry_newest(self, tmp_path):
+        tier = SQLiteDiskTier(tmp_path, max_bytes=150)
+        payload = {"pad": "x" * 50}
+        for key in ("first", "second", "first", "third"):
+            tier.put(key, payload)
+        assert tier.contains("first") and not tier.contains("second")
+
+    def test_delete(self, tmp_path):
+        tier = SQLiteDiskTier(tmp_path)
+        tier.put("k", {})
+        assert tier.delete("k")
+        assert not tier.delete("k")
         assert not tier.delete("absent")
+
+    def test_unwritable_directory_raises_oserror(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        tier = SQLiteDiskTier(blocker / "cache")
+        assert not tier.get("k").hit
+        with pytest.raises(OSError):
+            tier.put("k", {})
+
+    def test_threads_share_one_tier(self, tmp_path):
+        """Four threads on one connection, switching often: no write is
+        lost and every read sees the writer's own entry."""
+        import sys
+
+        tier = SQLiteDiskTier(tmp_path)
+        seen = []
+
+        def writer(worker):
+            for i in range(20):
+                tier.put(f"{worker}-{i}", {"i": i})
+                seen.append(tier.get(f"{worker}-{i}").payload == {"i": i})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [True] * 80
+        assert tier.entries() == 80
+
+
+class TestLockedDatabase:
+    """A lock held past the busy timeout fails the call with a
+    ``DiskTierError``, an ``OSError``."""
+
+    @pytest.fixture
+    def locked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(disk_module, "BUSY_TIMEOUT_S", 0.05)
+        tier = SQLiteDiskTier(tmp_path)
+        tier.put("k", {"v": 1})
+        tier.close()
+        holder = sqlite3.connect(tmp_path / "cache.sqlite", isolation_level=None)
+        holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+        holder.execute("BEGIN EXCLUSIVE")
+        yield tmp_path
+        holder.execute("ROLLBACK")
+        holder.close()
+
+    def test_get_and_put_raise(self, locked):
+        tier = SQLiteDiskTier(locked)
+        with pytest.raises(DiskTierError, match="locked"):
+            tier.get("k")
+        with pytest.raises(OSError, match="locked"):
+            tier.put("k2", {"v": 2})
+        # Nothing was set aside: a lock is not corruption.
+        assert tier.quarantines == 0
+        assert not (locked / "cache.sqlite.corrupt").exists()
+
+    def test_a_writer_lock_leaves_reads_working(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(disk_module, "BUSY_TIMEOUT_S", 0.05)
+        tier = SQLiteDiskTier(tmp_path)
+        tier.put("k", {"v": 1})
+        holder = sqlite3.connect(tmp_path / "cache.sqlite", isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            assert tier.get("k").payload == {"v": 1}
+            with pytest.raises(DiskTierError):
+                tier.put("k2", {"v": 2})
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        tier.put("k2", {"v": 2})
+        assert tier.entries() == 2
 
 
 # ----------------------------------------------------------------------
