@@ -10,7 +10,7 @@ state, and anything structural (layers, depth) lives in
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gates import Instruction
 
@@ -87,6 +87,12 @@ class QuantumCircuit:
         self._check_qubits(instruction.qubits)
         self._instructions.append(instruction)
         return self
+
+    def _unchecked_appender(self) -> Callable[[Instruction], None]:
+        """A callable appending one instruction without :meth:`append`'s
+        qubit range check, for a caller that has checked every qubit it
+        will emit against ``num_qubits`` up front (the backend router)."""
+        return self._instructions.append
 
     def add(
         self,

@@ -43,21 +43,36 @@ def asap_layers(circuit: QuantumCircuit) -> List[List[Instruction]]:
         A list of layers; each layer is a list of instructions acting on
         pairwise-disjoint qubits, in program order.
     """
-    frontier: Dict[int, int] = {}  # qubit -> first layer index it is free at
+    # 1- and 2-qubit gates are specialised; this is also circuit_depth's
+    # walk.  A frontier never exceeds len(layers), so a gate opens at most
+    # one new layer.
+    frontier = [0] * circuit.num_qubits  # qubit -> first layer it is free at
     layers: List[List[Instruction]] = []
     for inst in circuit:
         qubits = inst.qubits
-        start = max((frontier.get(q, 0) for q in qubits), default=0)
-        if inst.is_directive:
+        if inst.name in _DIRECTIVES:
             # Barrier: everything it spans must finish before later gates.
+            start = max((frontier[q] for q in qubits), default=0)
             for q in qubits:
-                frontier[q] = max(frontier.get(q, 0), start)
+                frontier[q] = start
             continue
-        while len(layers) <= start:
-            layers.append([])
-        layers[start].append(inst)
-        for q in qubits:
+        if len(qubits) == 1:
+            q = qubits[0]
+            start = frontier[q]
             frontier[q] = start + 1
+        elif len(qubits) == 2:
+            a, b = qubits
+            fa, fb = frontier[a], frontier[b]
+            start = fa if fa > fb else fb
+            frontier[a] = frontier[b] = start + 1
+        else:
+            start = max((frontier[q] for q in qubits), default=0)
+            for q in qubits:
+                frontier[q] = start + 1
+        if start == len(layers):
+            layers.append([inst])
+        else:
+            layers[start].append(inst)
     return layers
 
 
@@ -68,29 +83,7 @@ def circuit_depth(circuit: QuantumCircuit) -> int:
     path in a quantum circuit (the path with the highest number of gate
     operations)".  Measurements count as gates; barriers do not.
     """
-    frontier = [0] * circuit.num_qubits
-    depth = 0
-    for inst in circuit:
-        qubits = inst.qubits
-        if inst.name in _DIRECTIVES:
-            start = max((frontier[q] for q in qubits), default=0)
-            for q in qubits:
-                frontier[q] = start
-            continue
-        if len(qubits) == 1:
-            q = qubits[0]
-            t = frontier[q] = frontier[q] + 1
-        elif len(qubits) == 2:
-            a, b = qubits
-            fa, fb = frontier[a], frontier[b]
-            t = frontier[a] = frontier[b] = (fa if fa > fb else fb) + 1
-        else:
-            t = max((frontier[q] for q in qubits), default=0) + 1
-            for q in qubits:
-                frontier[q] = t
-        if t > depth:
-            depth = t
-    return depth
+    return len(asap_layers(circuit))
 
 
 def two_qubit_depth(circuit: QuantumCircuit) -> int:

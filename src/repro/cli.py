@@ -23,6 +23,7 @@ depth/gate deltas for every compiler pass).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -598,11 +599,23 @@ def _cmd_arg(args, out) -> int:
     return 0
 
 
+def _open_cache(no_cache: bool, **options):
+    """``with _open_cache(...) as cache``: a
+    :class:`~repro.service.ResultCache` at the current format version that
+    closes its database on exit, or ``None`` when caching is off."""
+    if no_cache:
+        return contextlib.nullcontext()
+    from .compiler.serialize import FORMAT_VERSION
+    from .service import ResultCache
+
+    return ResultCache(expected_version=FORMAT_VERSION, **options)
+
+
 def _cmd_evaluate(args, out) -> int:
     from .experiments.harness import make_problem
     from .experiments.reporting import format_table
     from .qaoa import optimize_qaoa
-    from .service import CompileJob, EvalJob, ResultCache, run_batch
+    from .service import CompileJob, EvalJob, run_batch
 
     rng = np.random.default_rng(args.seed)
     problem = make_problem(args.family, args.nodes, args.param, rng)
@@ -629,14 +642,8 @@ def _cmd_evaluate(args, out) -> int:
         )
         for method in methods
     ]
-    cache = None
-    if not args.no_cache:
-        from .compiler.serialize import FORMAT_VERSION
-
-        cache = ResultCache(
-            directory=args.cache_dir, expected_version=FORMAT_VERSION
-        )
-    report = run_batch(jobs, cache=cache)
+    with _open_cache(args.no_cache, directory=args.cache_dir) as cache:
+        report = run_batch(jobs, cache=cache)
     by_id = {r.job.job_id: r for r in report.results}
     if args.json:
         import json as _json
@@ -732,12 +739,7 @@ def _read_jobs(path: str, load):
 
 def _cmd_optimize(args, out) -> int:
     from .experiments.reporting import format_table
-    from .service import (
-        OptimizeJob,
-        ResultCache,
-        load_optimize_jobs_jsonl,
-        run_batch,
-    )
+    from .service import OptimizeJob, load_optimize_jobs_jsonl, run_batch
 
     if args.jobs is not None:
         jobs = _read_jobs(args.jobs, load_optimize_jobs_jsonl)
@@ -760,14 +762,8 @@ def _cmd_optimize(args, out) -> int:
             )
         ]
 
-    cache = None
-    if not args.no_cache:
-        from .compiler.serialize import FORMAT_VERSION
-
-        cache = ResultCache(
-            directory=args.cache_dir, expected_version=FORMAT_VERSION
-        )
-    report = run_batch(jobs, cache=cache)
+    with _open_cache(args.no_cache, directory=args.cache_dir) as cache:
+        report = run_batch(jobs, cache=cache)
 
     if args.json:
         import json as _json
@@ -831,22 +827,19 @@ def _cmd_optimize(args, out) -> int:
 def _cmd_batch(args, out) -> int:
     import json
 
-    from .compiler.serialize import FORMAT_VERSION
-    from .service import BatchEngine, ResultCache, load_jobs_jsonl
+    from .service import BatchEngine, load_jobs_jsonl
 
     jobs = _read_jobs(args.jobs, load_jobs_jsonl)
     if jobs is None:
         return 2
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(
-            max_entries=args.cache_entries,
-            max_bytes=args.cache_bytes,
-            directory=args.cache_dir,
-            expected_version=FORMAT_VERSION,
-        )
-    report = BatchEngine(retries=args.retries, cache=cache).run(jobs)
+    with _open_cache(
+        args.no_cache,
+        max_entries=args.cache_entries,
+        max_bytes=args.cache_bytes,
+        directory=args.cache_dir,
+    ) as cache:
+        report = BatchEngine(retries=args.retries, cache=cache).run(jobs)
 
     records = (
         r.to_record(include_payload=args.include_payload)
@@ -924,32 +917,30 @@ def _cmd_cache(args, out) -> int:
     from .experiments.reporting import format_table
     from .service import ResultCache
 
-    cache = ResultCache(
-        directory=args.dir, expected_version=FORMAT_VERSION
-    )
-    try:
-        if args.action == "stats":
-            rows = [
-                ["directory", args.dir],
-                ["entries", cache.disk_entries()],
-                ["bytes", cache.disk_bytes()],
-                ["format version", FORMAT_VERSION],
-            ]
-            print(format_table(["cache", "value"], rows), file=out)
-        elif args.action == "prune":
-            pruned = cache.prune_stale()
-            print(
-                f"pruned {pruned} stale entr{'y' if pruned == 1 else 'ies'} "
-                f"({cache.disk_entries()} remain)",
-                file=out,
-            )
-        else:
-            before = cache.disk_entries()
-            cache.clear(disk=True)
-            print(f"cleared {before} entries from {args.dir}", file=out)
-    except OSError as exc:  # the database is locked, unreadable or unwritable
-        print(f"error: cache directory {args.dir}: {exc}", file=sys.stderr)
-        return 2
+    with ResultCache(directory=args.dir, expected_version=FORMAT_VERSION) as cache:
+        try:
+            if args.action == "stats":
+                rows = [
+                    ["directory", args.dir],
+                    ["entries", cache.disk_entries()],
+                    ["bytes", cache.disk_bytes()],
+                    ["format version", FORMAT_VERSION],
+                ]
+                print(format_table(["cache", "value"], rows), file=out)
+            elif args.action == "prune":
+                pruned = cache.prune_stale()
+                print(
+                    f"pruned {pruned} stale entr{'y' if pruned == 1 else 'ies'} "
+                    f"({cache.disk_entries()} remain)",
+                    file=out,
+                )
+            else:
+                before = cache.disk_entries()
+                cache.clear(disk=True)
+                print(f"cleared {before} entries from {args.dir}", file=out)
+        except OSError as exc:  # the database is locked, unreadable or unwritable
+            print(f"error: cache directory {args.dir}: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -25,7 +25,7 @@ from ..circuits.gates import GATES, Instruction
 from ..hardware.coupling import CouplingGraph
 from .mapping import Mapping
 from .metrics import native_metrics
-from .routing import route_pair
+from .routing import swap_walk
 
 __all__ = ["CompiledCircuit", "ConventionalBackend", "CouplingError"]
 
@@ -146,10 +146,7 @@ class ConventionalBackend:
         out = QuantumCircuit(
             self.coupling.num_qubits, name=name or f"{circuit.name}@{self.coupling.name}"
         )
-        swap_count = 0
-        for layer in asap_layers(circuit):
-            for inst in layer:
-                swap_count += self._emit(inst, working, out)
+        swap_count = self.continue_compile(circuit, working, out)
         result = CompiledCircuit(
             circuit=out,
             coupling=self.coupling,
@@ -172,46 +169,54 @@ class ConventionalBackend:
         This is the primitive IC/VIC use to compile one partial circuit at a
         time and stitch the results (Section IV-C, Step 2-3).  Returns the
         number of SWAPs inserted for this partial circuit.
-        """
-        swap_count = 0
-        for layer in asap_layers(circuit):
-            for inst in layer:
-                swap_count += self._emit(inst, mapping, out)
-        return swap_count
 
-    # ------------------------------------------------------------------
-    def _emit(
-        self, inst: Instruction, mapping: Mapping, out: QuantumCircuit
-    ) -> int:
-        """Route (if needed) and append one logical instruction. Returns the
-        number of SWAPs inserted."""
-        # The physical copies reuse the validated name and params of
-        # ``inst`` and take their qubits from the mapping, so they skip
-        # re-validation.
-        if inst.is_directive:
-            return 0
-        if len(inst.qubits) == 1:
-            out.append(
-                Instruction._unchecked(
-                    inst.name, (mapping.physical(inst.qubits[0]),), inst.params
-                )
+        ``out`` must hold every device qubit and every home in ``mapping``
+        (``ValueError`` otherwise, before anything is emitted); that one
+        check stands in for a range check per appended gate.  A gate on an
+        unplaced logical qubit raises ``KeyError``.
+        """
+        coupling = self.coupling
+        homes = mapping.homes
+        if out.num_qubits < coupling.num_qubits:
+            raise ValueError(
+                f"cannot route onto a {out.num_qubits}-qubit circuit: "
+                f"device {coupling.name} has {coupling.num_qubits} qubits"
             )
-            return 0
-        logical_a, logical_b = inst.qubits
-        routing = route_pair(
-            self.coupling,
-            mapping,
-            logical_a,
-            logical_b,
-            dist=self.distance_matrix,
-            path_oracle=self.path_oracle,
-        )
-        out.extend(routing.swaps)
-        out.append(
-            Instruction._unchecked(
-                inst.name,
-                (mapping.physical(logical_a), mapping.physical(logical_b)),
-                inst.params,
+        if homes and max(homes.values()) >= out.num_qubits:
+            raise ValueError(
+                f"mapping home {max(homes.values())} out of range for "
+                f"{out.num_qubits}-qubit circuit"
             )
-        )
-        return routing.num_swaps
+        # One loop over every gate, its lookups hoisted.  Physical copies
+        # reuse the validated name and params of each logical instruction
+        # and take their qubits from the mapping or the device's paths, so
+        # they skip re-validation.  asap_layers drops directives.
+        emit = out._unchecked_appender()
+        unchecked = Instruction._unchecked
+        edges = coupling.edges
+        oracle = self.path_oracle
+        if oracle is None:
+            dist = self.distance_matrix
+
+            def oracle(pa: int, pb: int):
+                return coupling.shortest_path(pa, pb, dist=dist)
+
+        swap_count = 0
+        try:
+            for layer in asap_layers(circuit):
+                for inst in layer:
+                    qubits = inst.qubits
+                    if len(qubits) == 1:
+                        emit(unchecked(inst.name, (homes[qubits[0]],), inst.params))
+                        continue
+                    a, b = qubits
+                    pa = homes[a]
+                    pb = homes[b]
+                    if ((pa, pb) if pa < pb else (pb, pa)) not in edges:
+                        path = oracle(pa, pb)
+                        swap_count += len(path) - 2
+                        pa, pb = swap_walk(path, mapping, emit, edges)
+                    emit(unchecked(inst.name, (pa, pb), inst.params))
+        except KeyError as exc:
+            raise KeyError(f"logical qubit {exc.args[0]} is not placed") from None
+        return swap_count

@@ -83,6 +83,8 @@ class IncrementalCompiler:
             if distance_matrix is not None
             else coupling.distance_matrix()
         )
+        # The matrix as Python lists for the per-layer sort key.
+        self._rows = self.distance_matrix.tolist()
         self.packing_limit = packing_limit
         self.rng = rng
         # Any object with ConventionalBackend's ``continue_compile``
@@ -103,13 +105,13 @@ class IncrementalCompiler:
         if self.rng is not None and len(gates) > 1:
             perm = self.rng.permutation(len(gates))
             gates = [gates[i] for i in perm]
-        dist = self.distance_matrix
-
-        def q_dist(gate: ParamPair) -> float:
-            pa, pb = mapping.physical(gate[0]), mapping.physical(gate[1])
-            return float(dist[pa, pb])
-
-        gates.sort(key=q_dist)
+        # The same floats as the matrix entries, so the stable sort keeps
+        # the same order.
+        rows, homes = self._rows, mapping.homes
+        try:
+            gates.sort(key=lambda gate: rows[homes[gate[0]]][homes[gate[1]]])
+        except KeyError as exc:
+            raise KeyError(f"logical qubit {exc.args[0]} is not placed") from None
         return gates
 
     def compile_block(

@@ -9,6 +9,7 @@ changes between layers (Section IV-C).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
 __all__ = ["Mapping"]
@@ -105,6 +106,13 @@ class Mapping:
             return self._l2p[logical]
         except KeyError:
             raise KeyError(f"logical qubit {logical} is not placed") from None
+
+    @property
+    def homes(self) -> MappingProxyType:
+        """Read-only live view of the logical -> physical map, for routers
+        that read it once per gate (``homes[q]`` raises ``KeyError(q)``
+        for an unplaced qubit)."""
+        return MappingProxyType(self._l2p)
 
     def logical_at(self, physical: int) -> Optional[int]:
         """Logical occupant of a physical qubit, or ``None`` if empty."""

@@ -28,6 +28,19 @@ The cost metric is pluggable (``weighted=True`` scales each neighbour's
 distance by the number of interactions with it), implementing the paper's
 note that the metric "can be modified ... to apply QAIM effectively in any
 arbitrary quantum circuit mapping procedure".
+
+**Shared placements.**  A method sweep compiles one program with every
+method under one seed, so most of its jobs run the same placement from the
+first draws of a fresh generator.  When a
+:class:`~repro.hardware.target.Target` is given, results are kept in a
+bounded registry (``"placements"`` in :func:`repro.store.store_stats`,
+sized by ``REPRO_REGISTRY_CAPACITY``).  The key is every input the
+placement reads: the coupling's content fingerprint, the exact ``pairs``
+(their order sets the adjacency order), ``num_logical``, the radius, the
+weighting, and the generator's full bit-generator state (arrays frozen by
+their bytes; ``None`` when unseeded).  The value is the placement plus the
+generator state after it, so a hit restores that state and every later
+draw is the one a cold placement would have left.
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ import numpy as np
 
 from ..hardware.coupling import CouplingGraph
 from ..hardware.profiling import program_profile
+from ..store.registry import FingerprintRegistry
 from .mapping import Mapping
 
 __all__ = ["qaim_placement", "QAIMConfig"]
@@ -92,6 +106,45 @@ def _argmax_with_ties(
     return min(best)
 
 
+#: Placements by :func:`_placement_key` (bounded LRU, sized like the
+#: Target registry).
+_PLACEMENTS = FingerprintRegistry(
+    "placements", env_var="REPRO_REGISTRY_CAPACITY", default_capacity=256
+)
+
+
+def _freeze(value):
+    """A hashable copy of a bit-generator state: dicts as item tuples,
+    arrays by dtype, shape and bytes.  Raises ``TypeError`` for anything
+    else that is unhashable."""
+    if isinstance(value, dict):
+        return tuple((key, _freeze(item)) for key, item in value.items())
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    hash(value)
+    return value
+
+
+def _placement_key(pairs, num_logical, config, rng, target):
+    """Every input :func:`qaim_placement` reads, or ``None`` when the
+    generator's state cannot be frozen (the placement then runs
+    unshared)."""
+    state = None
+    if rng is not None:
+        try:
+            state = _freeze(rng.bit_generator.state)
+        except (AttributeError, TypeError):  # no bit generator, or an unhashable state
+            return None
+    return (
+        target.coupling_fingerprint,
+        tuple(map(tuple, pairs)),
+        num_logical,
+        config.radius,
+        config.weighted,
+        state,
+    )
+
+
 def qaim_placement(
     pairs: Sequence[Pair],
     num_logical: int,
@@ -108,9 +161,11 @@ def qaim_placement(
         coupling: Target device.
         rng: Optional generator for random tie-breaks.
         config: Radius / weighting knobs (defaults to the paper's).
-        target: Optional :class:`~repro.hardware.target.Target` whose
-            memoized connectivity profile and hop view are used instead
-            of recomputing them from ``coupling``.
+        target: Optional :class:`~repro.hardware.target.Target` wrapping
+            ``coupling``, whose memoized connectivity profile and hop
+            distances are used instead of recomputing them; with one, the
+            placement is shared through the placement registry (see the
+            module docstring).
 
     Returns:
         A :class:`~repro.compiler.mapping.Mapping` placing every logical
@@ -122,56 +177,73 @@ def qaim_placement(
             f"{coupling.num_qubits}-qubit device {coupling.name}"
         )
     config = config or QAIMConfig()
+    key = None
+    if target is not None and target.coupling is coupling:
+        key = _placement_key(pairs, num_logical, config, rng, target)
+    if key is not None:
+        cached = _PLACEMENTS.get(key)
+        if cached is not None:
+            placed, state = cached
+            if rng is not None:
+                rng.bit_generator.state = state
+            return Mapping(dict(placed), coupling.num_qubits)
+    mapping = _place(pairs, num_logical, coupling, rng, config, target)
+    if key is not None:
+        _PLACEMENTS.put(
+            key,
+            (
+                tuple(mapping.as_dict().items()),
+                None if rng is None else rng.bit_generator.state,
+            ),
+        )
+    return mapping
+
+
+def _place(pairs, num_logical, coupling, rng, config, target) -> Mapping:
+    """Steps 1-4 of the procedure (no registry)."""
     if target is not None:
         strength = target.connectivity_profile(radius=config.radius)
-        hop = target.hop_distances()
+        rows = target.hop_distances().tolist()
     else:
         strength = coupling.connectivity_profile(radius=config.radius)
-        hop = coupling.distance_matrix()
+        rows = coupling.distance_matrix().tolist()
     profile = program_profile(pairs)
     adjacency = _logical_neighbours(pairs, num_logical)
 
     # Step 1: heaviest logical qubits first.
     order = sorted(range(num_logical), key=lambda q: (-profile.get(q, 0), q))
     mapping = Mapping({}, coupling.num_qubits)
+    homes = mapping.homes
+    free = list(range(coupling.num_qubits))  # ascending, kept up to date
 
     for logical in order:
-        free = [
-            p for p in range(coupling.num_qubits) if mapping.logical_at(p) is None
+        anchor_physical = [
+            (homes[n], mult) for n, mult in adjacency[logical].items() if n in homes
         ]
-        placed_neighbours = [
-            (n, mult)
-            for n, mult in adjacency[logical].items()
-            if mapping.is_placed(n)
-        ]
-        if not placed_neighbours:
+        if not anchor_physical:
             # Step 2 / first branch of Step 3: pure connectivity strength.
             choice = _argmax_with_ties(free, lambda p: strength[p], rng)
-            mapping.place(logical, choice)
-            continue
+        else:
+            candidates: Set[int] = set()
+            for anchor, _ in anchor_physical:
+                candidates.update(
+                    p
+                    for p in coupling.neighbours(anchor)
+                    if mapping.logical_at(p) is None
+                )
+            pool = sorted(candidates) if candidates else free
 
-        anchor_physical = [
-            (mapping.physical(n), mult) for n, mult in placed_neighbours
-        ]
-        candidates: Set[int] = set()
-        for anchor, _ in anchor_physical:
-            candidates.update(
-                p
-                for p in coupling.neighbours(anchor)
-                if mapping.logical_at(p) is None
-            )
-        pool = sorted(candidates) if candidates else free
+            def cost(p: int) -> float:
+                row = rows[p]
+                distance = 0.0
+                for anchor, mult in anchor_physical:
+                    distance += row[anchor] * (mult if config.weighted else 1.0)
+                if distance <= 0.0:  # cannot happen for free p, defensive
+                    distance = 1e-9
+                return strength[p] / distance
 
-        def cost(p: int) -> float:
-            distance = 0.0
-            for anchor, mult in anchor_physical:
-                d = hop[p, anchor]
-                distance += d * (mult if config.weighted else 1.0)
-            if distance <= 0.0:  # cannot happen for free p, defensive
-                distance = 1e-9
-            return strength[p] / distance
-
-        choice = _argmax_with_ties(pool, cost, rng)
+            choice = _argmax_with_ties(pool, cost, rng)
         mapping.place(logical, choice)
+        free.remove(choice)
 
     return mapping

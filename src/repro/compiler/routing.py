@@ -23,7 +23,7 @@ from ..circuits.gates import Instruction
 from ..hardware.coupling import CouplingGraph
 from .mapping import Mapping
 
-__all__ = ["route_pair", "RoutingResult"]
+__all__ = ["route_pair", "RoutingResult", "swap_walk"]
 
 
 class RoutingResult:
@@ -44,6 +44,42 @@ class RoutingResult:
     def num_swaps(self) -> int:
         """Number of SWAP gates inserted."""
         return len(self.swaps)
+
+
+def swap_walk(path, mapping: Mapping, emit, edges) -> Tuple[int, int]:
+    """Move the two ends of ``path`` toward each other with SWAPs until
+    they are adjacent; returns the final physical pair.
+
+    The one copy of the walk :func:`route_pair` and
+    :class:`~repro.compiler.backend.ConventionalBackend` share.  Each SWAP
+    is applied to ``mapping`` (:meth:`Mapping.apply_swap`, which raises
+    ``ValueError`` for a qubit outside the mapping's range) and then passed
+    to ``emit``.  A path of ``k`` hops takes ``k - 1`` SWAPs.  ``path``
+    holds the device's qubits as Python ``int`` (they go into the SWAPs
+    without re-validation); ``edges`` is the coupling's normalised edge
+    set.
+    """
+    swap, apply_swap = Instruction._unchecked, mapping.apply_swap
+    left, right = 0, len(path) - 1
+    move_left = True  # alternate ends so movement is balanced
+    while right - left > 1:
+        if move_left:
+            a = path[left]
+            left += 1
+            b = path[left]
+        else:
+            a = path[right]
+            right -= 1
+            b = path[right]
+        move_left = not move_left
+        apply_swap(a, b)
+        emit(swap("swap", (a, b)))
+    pa, pb = path[left], path[right]
+    if ((pa, pb) if pa < pb else (pb, pa)) not in edges:
+        raise RuntimeError(
+            f"routing bug: pair {(pa, pb)} not adjacent after SWAPs"
+        )
+    return pa, pb
 
 
 def route_pair(
@@ -69,7 +105,7 @@ def route_pair(
             Defaults to hop distances.
         path_oracle: Optional ``(pa, pb) -> path`` callable used instead
             of reconstructing the path from ``dist`` — e.g. the memoized
-            :meth:`repro.hardware.target.Target.shortest_path` cache.
+            :meth:`repro.hardware.target.Target.path_oracle`.
             Must agree with ``dist`` on the metric it encodes, and return
             the device's qubits as Python ``int`` (they go into the SWAPs
             without re-validation).
@@ -83,22 +119,5 @@ def route_pair(
     else:
         path = coupling.shortest_path(pa, pb, dist=dist)
     swaps: List[Instruction] = []
-    # Move both endpoints inward along the path until adjacent.
-    left, right = 0, len(path) - 1
-    move_left = True  # alternate ends so movement is balanced
-    while right - left > 1:
-        if move_left:
-            a, b = path[left], path[left + 1]
-            left += 1
-        else:
-            a, b = path[right], path[right - 1]
-            right -= 1
-        move_left = not move_left
-        swaps.append(Instruction._unchecked("swap", (a, b)))
-        mapping.apply_swap(a, b)
-    final_pair = (path[left], path[right])
-    if not coupling.has_edge(*final_pair):
-        raise RuntimeError(
-            f"routing bug: pair {final_pair} not adjacent after SWAPs"
-        )
+    final_pair = swap_walk(path, mapping, swaps.append, coupling.edges)
     return RoutingResult(swaps, final_pair)

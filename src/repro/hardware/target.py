@@ -215,12 +215,14 @@ class Target:
         # benign — last writer wins with an identical value.
         self._fingerprint: Optional[str] = None
         self._fingerprint_done = False
+        self._coupling_fingerprint: Optional[str] = None
         self._vic_resolved: Optional[
             Tuple[Optional[np.ndarray], Tuple[str, ...]]
         ] = None
         self._profiles: Dict[int, Mapping[int, int]] = {}
         self._neighbourhoods: Dict[Tuple[int, int], FrozenSet[int]] = {}
-        self._paths: Dict[Tuple[str, int, int], Tuple[int, ...]] = {}
+        # metric -> {(a, b): path}; a degraded VIC table shares "hop".
+        self._paths: Dict[str, Dict[Tuple[int, int], Tuple[int, ...]]] = {}
         self._weighted: Dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -251,6 +253,16 @@ class Target:
                 )
             self._fingerprint_done = True
         return self._fingerprint
+
+    @property
+    def coupling_fingerprint(self) -> str:
+        """:func:`coupling_fingerprint` of the wrapped coupling, computed
+        once per target: the device-content part of the key under which
+        QAIM shares placements across targets (a calibrated and a bare
+        target of one device place alike)."""
+        if self._coupling_fingerprint is None:
+            self._coupling_fingerprint = coupling_fingerprint(self.coupling)
+        return self._coupling_fingerprint
 
     @property
     def num_qubits(self) -> int:
@@ -386,18 +398,24 @@ class Target:
         hop distances when the calibration cannot produce one (matching
         the compiler's VIC→IC fallback).  Returns a fresh list per call.
         """
-        dist = self.routing_distances(metric) if metric != "hop" else None
-        key = (metric if dist is not None else "hop", int(a), int(b))
-        cached = self._paths.get(key)
-        if cached is None:
-            cached = tuple(self.coupling.shortest_path(a, b, dist=dist))
-            self._paths[key] = cached
-        return list(cached)
+        return list(self.path_oracle(metric)(int(a), int(b)))
 
-    def path_oracle(self, metric: str = "hop") -> Callable[[int, int], List[int]]:
-        """A ``(a, b) -> path`` callable bound to this target's memoized
-        shortest-path cache (what routers consume)."""
-        return lambda a, b: self.shortest_path(a, b, metric=metric)
+    def path_oracle(self, metric: str = "hop") -> Callable[[int, int], Tuple[int, ...]]:
+        """A ``(a, b) -> path`` callable over this target's memoized
+        shortest paths (what routers consume): a dictionary lookup that
+        returns the cached path tuple, computing it on the first request
+        for the pair.  Callers pass Python ``int`` qubits."""
+        dist = self.routing_distances(metric)
+        paths = self._paths.setdefault("hop" if dist is None else metric, {})
+        coupling = self.coupling
+
+        def oracle(a: int, b: int) -> Tuple[int, ...]:
+            path = paths.get((a, b))
+            if path is None:
+                path = paths[a, b] = tuple(coupling.shortest_path(a, b, dist=dist))
+            return path
+
+        return oracle
 
     # ------------------------------------------------------------------
     # crosstalk

@@ -198,6 +198,14 @@ class ResultCache:
         if self._disk is not None:
             self._disk.close()
 
+    def __enter__(self) -> "ResultCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # A dropped connection would hold its lock on the database until
+        # the next cyclic garbage collection.
+        self.close()
+
     # ------------------------------------------------------------------
     # disk-tier maintenance (used by ``repro cache``)
     # ------------------------------------------------------------------

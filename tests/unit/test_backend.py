@@ -1,11 +1,12 @@
 """Unit tests for the conventional layer-partitioning backend compiler."""
 
+import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.compiler.backend import ConventionalBackend, CouplingError
 from repro.compiler.mapping import Mapping
-from repro.hardware import linear_device, ring_device
+from repro.hardware import CouplingGraph, linear_device, ring_device
 
 
 class TestBasicCompilation:
@@ -138,3 +139,107 @@ class TestWeightedBackend:
             tuple(sorted(i.qubits)) for i in result.circuit if i.name == "swap"
         }
         assert (0, 3) not in swap_edges
+
+
+class TestRegisterCheck:
+    def test_register_smaller_than_device_raises_before_emitting(self):
+        backend = ConventionalBackend(linear_device(5))
+        mapping = Mapping.trivial(3, 5)
+        out = QuantumCircuit(3)
+        with pytest.raises(ValueError, match="5 qubits"):
+            backend.continue_compile(QuantumCircuit(3).cnot(0, 2), mapping, out)
+        assert len(out) == 0
+        assert mapping.as_dict() == {0: 0, 1: 1, 2: 2}
+
+    def test_mapping_over_fewer_qubits_than_the_device(self):
+        # Routes that stay inside the mapping's range compile; a SWAP
+        # outside it raises, as Mapping.apply_swap does.
+        backend = ConventionalBackend(linear_device(5))
+        mapping = Mapping.trivial(4, 4)
+        out = QuantumCircuit(5)
+        assert backend.continue_compile(QuantumCircuit(4).cnot(0, 3), mapping, out) == 2
+        assert mapping.as_dict() == {0: 1, 1: 0, 2: 3, 3: 2}
+        assert [i.qubits for i in out] == [(0, 1), (3, 2), (1, 2)]
+        backend = ConventionalBackend(CouplingGraph(3, [(0, 2), (2, 1)]))
+        with pytest.raises(ValueError, match="physical qubit 2 out of range"):
+            backend.continue_compile(
+                QuantumCircuit(2).cnot(0, 1), Mapping.trivial(2, 2), QuantumCircuit(3)
+            )
+
+    def test_mapping_home_outside_the_register_raises(self):
+        backend = ConventionalBackend(linear_device(3))
+        mapping = Mapping({0: 0, 1: 4}, 5)
+        with pytest.raises(ValueError, match="mapping home 4"):
+            backend.continue_compile(QuantumCircuit(2).h(1), mapping, QuantumCircuit(3))
+
+    def test_unplaced_qubit_raises_key_error(self):
+        backend = ConventionalBackend(linear_device(3))
+        for circuit in (QuantumCircuit(3).h(2), QuantumCircuit(3).cnot(0, 2)):
+            with pytest.raises(KeyError, match="logical qubit 2 is not placed"):
+                backend.compile(circuit, Mapping({0: 0, 1: 1}, 3))
+
+
+def _reference_compile(coupling, circuit, mapping, dist=None):
+    """The per-gate router the one-loop backend replaced: route_pair per
+    two-qubit gate, Mapping.physical per qubit, QuantumCircuit.append per
+    gate."""
+    from repro.circuits import asap_layers
+    from repro.circuits.gates import Instruction
+    from repro.compiler.routing import route_pair
+
+    out = QuantumCircuit(coupling.num_qubits)
+    swaps = 0
+    for layer in asap_layers(circuit):
+        for inst in layer:
+            if len(inst.qubits) == 1:
+                out.append(Instruction(inst.name, (mapping.physical(inst.qubits[0]),), inst.params))
+                continue
+            a, b = inst.qubits
+            routed = route_pair(coupling, mapping, a, b, dist=dist)
+            out.extend(routed.swaps)
+            out.append(
+                Instruction(inst.name, (mapping.physical(a), mapping.physical(b)), inst.params)
+            )
+            swaps += routed.num_swaps
+    return out, swaps
+
+
+class TestOneLoopMatchesPerGateRouting:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_circuits(self, seed, weighted):
+        from repro.hardware import ibmq_16_melbourne, ibmq_20_tokyo
+        from repro.hardware.target import Target
+
+        rng = np.random.default_rng(seed)
+        coupling = (ibmq_20_tokyo, ibmq_16_melbourne)[seed % 2]()
+        n = coupling.num_qubits
+        k = int(rng.integers(2, n + 1))
+        circuit = QuantumCircuit(k)
+        for _ in range(int(rng.integers(1, 60))):
+            roll = rng.random()
+            if roll < 0.6 and k > 1:
+                a, b = (int(q) for q in rng.choice(k, 2, replace=False))
+                circuit.cphase(float(rng.uniform(-1, 1)), a, b)
+            elif roll < 0.9:
+                circuit.rx(float(rng.uniform(-1, 1)), int(rng.integers(k)))
+            else:
+                circuit.barrier()
+        placement = {q: int(p) for q, p in enumerate(rng.permutation(n)[:k])}
+        dist = None
+        if weighted:
+            dist = coupling.weighted_distance_matrix(
+                {e: float(rng.uniform(1, 3)) for e in coupling.edges}
+            )
+        expected, expected_swaps = _reference_compile(
+            coupling, circuit, Mapping(placement, n), dist=dist
+        )
+        backends = [ConventionalBackend(coupling, distance_matrix=dist)]
+        if not weighted:
+            backends.append(
+                ConventionalBackend(coupling, path_oracle=Target(coupling).path_oracle("hop"))
+            )
+        for backend in backends:
+            result = backend.compile(circuit, Mapping(placement, n))
+            assert result.circuit.instructions == expected.instructions
+            assert result.swap_count == expected_swaps

@@ -369,17 +369,35 @@ class TestCacheCommand:
         code, text = _run(["cache", "stats", "--dir", str(cache_dir)])
         assert re.search(r"entries +0\n", text)
 
-    def test_locked_database_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+    def test_batch_closes_its_database(self, tmp_path):
+        """A `repro batch` run closes its cache's connection: with the
+        cyclic collector off, so nothing frees a dropped connection,
+        another connection takes an exclusive lock at once."""
         import gc
+        import sqlite3
+
+        gc.disable()
+        try:
+            cache_dir = self._populate(tmp_path)
+            holder = sqlite3.connect(
+                cache_dir / "cache.sqlite", isolation_level=None, timeout=0
+            )
+            try:
+                holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+                holder.execute("BEGIN EXCLUSIVE")
+                holder.execute("ROLLBACK")
+            finally:
+                holder.close()
+        finally:
+            gc.enable()
+
+    def test_locked_database_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
         import sqlite3
 
         import repro.store.disk as disk
 
         monkeypatch.setattr(disk, "BUSY_TIMEOUT_S", 0.05)
         cache_dir = self._populate(tmp_path)
-        # An exclusive lock needs the batch run's connection closed; the
-        # sqlite3 module frees a dropped connection at the next collection.
-        gc.collect()
         holder = sqlite3.connect(cache_dir / "cache.sqlite", isolation_level=None)
         holder.execute("PRAGMA locking_mode=EXCLUSIVE")
         holder.execute("BEGIN EXCLUSIVE")

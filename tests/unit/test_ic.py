@@ -138,3 +138,30 @@ class TestBlockCompilation:
         g = linear_device(4)
         compiler = IncrementalCompiler(g)
         assert compiler.distance_matrix[0, 3] == 3.0
+
+
+def test_frozen_distance_ablation_output_is_pinned():
+    """The ablation that sorts on the block's initial mapping overrides
+    ``_sorted_by_distance(gates, mapping)``; its outputs are pinned to the
+    ones the per-lookup numpy sort produced."""
+    import hashlib
+
+    from repro.compiler.pipeline import run_incremental_flow
+    from repro.compiler.qaim import qaim_placement
+    from repro.experiments.figures.ablations import _FrozenOrderIncrementalCompiler
+    from repro.experiments.harness import make_problem
+
+    coupling = ibmq_20_tokyo()
+    digest = hashlib.sha256()
+    for i, (family, param) in enumerate([("er", 0.4), ("regular", 5), ("er", 0.6)]):
+        problem = make_problem(family, 14, param, np.random.default_rng((3002, i)))
+        program = problem.to_program([0.7], [0.35])
+        rng = np.random.default_rng((3002, i, 0))
+        mapping = qaim_placement(program.pairs(), program.num_qubits, coupling, rng=rng)
+        circuit, final, swaps = run_incremental_flow(
+            program, mapping, _FrozenOrderIncrementalCompiler(coupling, rng=rng)
+        )
+        digest.update(repr((list(circuit), sorted(final.items()), swaps)).encode())
+    assert digest.hexdigest() == (
+        "cfc7bf99f142e3d9817c08a64e176a5894a9b65912f5400ac53c86ce1fae6211"
+    )

@@ -110,6 +110,17 @@ class TestQueries:
         m = Mapping({0: 4, 1: 2}, 5)
         assert m.physical_pair(0, 1) == (4, 2)
 
+    def test_homes_is_a_live_read_only_view(self):
+        m = Mapping({0: 4, 1: 2}, 5)
+        homes = m.homes
+        assert dict(homes) == {0: 4, 1: 2}
+        m.apply_swap(4, 3)
+        assert homes[0] == 3
+        with pytest.raises(TypeError):
+            homes[0] = 1
+        with pytest.raises(KeyError):
+            homes[2]
+
     def test_copy_independent(self):
         m = Mapping({0: 0}, 3)
         dup = m.copy()

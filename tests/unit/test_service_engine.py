@@ -23,7 +23,7 @@ from repro.service import job as job_module
 from repro.service.job import decode_envelope, encode_envelope
 from repro.service.telemetry import percentile
 from repro.sim.fastpath import clear_diagonal_registry
-from repro.store import SQLiteDiskTier
+from repro.store import SQLiteDiskTier, all_registries
 
 
 def _program(n=5):
@@ -692,10 +692,12 @@ class TestStoreStats:
     def test_cold_two_job_batch_registry_hits(self):
         """Two jobs on one environment: the second reuses the first's
         resolved environment, one registry hit in all (the value per-job
-        registry events summed to before the engine diffed the process)."""
+        registry events summed to before the engine diffed the process).
+        Their seeds differ, so they share no QAIM placement."""
         clear_target_registry()
         clear_diagonal_registry()
         job_module._ENVIRONMENTS.clear()
+        all_registries()["placements"].clear()
         report = run_batch(_jobs(2))
         assert report.summary()["store_registry_hits"] == 1
         assert report.store_stats["registries"]["job_environments"]["hits"] == 1

@@ -206,9 +206,13 @@ class TestOracles:
         cal = figure6_calibration()
         t = Target(cal.coupling, cal)
         oracle = t.path_oracle("vic")
-        assert oracle(0, 3) == cal.coupling.shortest_path(
-            0, 3, dist=cal.vic_distance_matrix()
+        assert oracle(0, 3) == tuple(
+            cal.coupling.shortest_path(0, 3, dist=cal.vic_distance_matrix())
         )
+        # The oracle returns the cached tuple itself, shared with
+        # shortest_path's memo.
+        assert oracle(0, 3) is t.path_oracle("vic")(0, 3)
+        assert t.shortest_path(0, 3, "vic") == list(oracle(0, 3))
 
     def test_conflict_sets_normalised(self):
         t = Target(
