@@ -115,7 +115,7 @@ from .sim import (
     evaluate_fast,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "__version__",

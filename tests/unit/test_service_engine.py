@@ -3,6 +3,7 @@
 import inspect
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.service import (
     execute_job,
     run_batch,
 )
+from repro.service import engine as engine_module
 from repro.service import job as job_module
 from repro.service.job import decode_envelope, encode_envelope
 from repro.service.telemetry import percentile
@@ -661,10 +663,31 @@ class TestLockedDisk:
 
 
 class TestPerRunLatency:
-    def test_reused_engine_reports_each_runs_own_latency(self):
+    def test_reused_engine_reports_each_runs_own_latency(self, monkeypatch):
         """Cold then warm on one engine: the warm run's percentiles and
-        stage summary are its own, not the engine's lifetime telemetry."""
-        engine = BatchEngine(cache=ResultCache())
+        stage summary are its own, not the engine's lifetime telemetry.
+
+        The engine reads a fake clock that moves 10 ms per executed job
+        and not at all on a cache hit, so every latency is known: the
+        cold run's jobs finish 10, 20, 30 and 40 ms after it starts, the
+        warm run's four hits take 0 ms, and the lifetime histogram over
+        all eight reads a p50 of 5 ms."""
+        clock = [0.0]
+
+        def execute(job):
+            clock[0] += 0.010
+            return execute_job(job)
+
+        monkeypatch.setattr(
+            engine_module,
+            "time",
+            SimpleNamespace(
+                monotonic=lambda: clock[0],
+                perf_counter=time.perf_counter,
+                sleep=time.sleep,
+            ),
+        )
+        engine = BatchEngine(cache=ResultCache(), execute_fn=execute)
         jobs = _jobs(4)
         cold = engine.run(jobs)
         warm = engine.run(jobs)
@@ -676,7 +699,15 @@ class TestPerRunLatency:
                 assert summary[f"latency_p{q}_ms"] == pytest.approx(
                     percentile(latencies, q)
                 )
-        assert warm.summary()["latency_p50_ms"] < cold.summary()["latency_p50_ms"]
+        assert [r.latency * 1e3 for r in cold.results] == pytest.approx(
+            [10.0, 20.0, 30.0, 40.0]
+        )
+        assert [r.latency for r in warm.results] == [0.0] * 4
+        assert cold.summary()["latency_p50_ms"] == pytest.approx(25.0)
+        assert warm.summary()["latency_p50_ms"] == 0.0
+        lifetime = engine.telemetry.snapshot()["histograms"]["job_latency_ms"]
+        assert lifetime["count"] == 8
+        assert lifetime["p50"] == pytest.approx(5.0)
         # Nothing ran in the warm run, so it has no stage samples.
         assert warm.stage_summary("pass") == {}
         stages = cold.stage_summary("pass")
