@@ -11,7 +11,12 @@ seeded :class:`repro.service.EvalJob` evaluations through
   shots and 8 trajectories in sampled mode;
 * a few wider ones: a 16-node 3-regular program compiled by vic on
   ibmq_20_tokyo with a calibration drawn from the compile seed, evaluated
-  in exact mode with T2 dephasing and 32 trajectories.
+  in exact mode with T2 dephasing and 32 trajectories;
+* parity-encoded ones: an 8-node ring with 4 random chords (12 edges, so
+  its 12 parity qubits fit ibmq_16_melbourne) compiled by parity on
+  melbourne with its paper calibration, evaluated once in sampled mode
+  (4096 shots, 8 trajectories) and once in exact mode with T2 dephasing
+  (8 trajectories).  Their noisy side runs gate by gate.
 
 It prints
 
@@ -26,8 +31,9 @@ checkout's sources, with the same arguments::
 
     PYTHONPATH=<checkout>/src python benchmarks/bench_eval_trajectories.py --seed 1
 
-A run takes 60 variational-shaped rounds and 4 wide jobs; quick mode
-(``--quick``: 3 rounds, 1 wide job) is the CI smoke step.  Every job must
+A run takes 60 variational-shaped rounds, 4 wide jobs and 2 parity jobs;
+quick mode (``--quick``: 3 rounds, 1 wide job, the sampled parity job) is
+the CI smoke step, so it evaluates both encodings.  Every job must
 succeed; the timings carry no gate.
 """
 
@@ -43,6 +49,7 @@ import numpy as np
 from repro.experiments.figures.common import FigureResult
 from repro.experiments.harness import make_problem
 from repro.experiments.reporting import format_table
+from repro.qaoa import MaxCutProblem
 from repro.service import CompileJob, EvalJob, execute_job
 
 MELBOURNE = "ibmq_16_melbourne"
@@ -50,6 +57,7 @@ TOKYO = "ibmq_20_tokyo"
 METHODS = ("qaim", "ip", "ic", "vic")
 ROUNDS = 60  # 240 variational-shaped evaluations
 WIDE = 4
+PARITY = 2  # one sampled, one exact with T2; a run takes min(wide, PARITY)
 QUICK_ROUNDS = 3
 QUICK_WIDE = 1
 T2_NS = 40_000.0
@@ -107,12 +115,45 @@ def wide_job(seed, index):
     )
 
 
+def parity_job(seed, index):
+    """Parity job ``index``: an 8-node ring with 4 chords on calibrated
+    melbourne; sampled for index 0, exact mode with T2 for index 1."""
+    rng = np.random.default_rng([seed, index, 8])
+    edges = {(i, i + 1) for i in range(7)} | {(0, 7)}
+    while len(edges) < 12:
+        edges.add(tuple(sorted(int(v) for v in rng.choice(8, 2, replace=False))))
+    program = MaxCutProblem(8, sorted(edges)).to_program(
+        [float(rng.uniform(0.2, 1.2))], [float(rng.uniform(0.1, 0.7))]
+    )
+    exact = index % 2 == 1
+    return EvalJob(
+        CompileJob(
+            program=program,
+            device=MELBOURNE,
+            method="parity",
+            seed=int(seed % 100_000) * 10_000 + index,
+            calibration="auto",
+            job_id="parity",
+        ),
+        shots=4096,
+        trajectories=8,
+        t2_ns=T2_NS if exact else None,
+        mode="exact" if exact else "sampled",
+        eval_seed=int(rng.integers(1 << 30)),
+    )
+
+
 def run_bench(rounds=ROUNDS, wide=WIDE, seed=1):
-    jobs = [
-        ("variational", job)
-        for index in range(rounds)
-        for job in variational_jobs(seed, index)
-    ] + [("wide", wide_job(seed, index)) for index in range(wide)]
+    parity = min(wide, PARITY)
+    jobs = (
+        [
+            ("variational", job)
+            for index in range(rounds)
+            for job in variational_jobs(seed, index)
+        ]
+        + [("wide", wide_job(seed, index)) for index in range(wide)]
+        + [("parity", parity_job(seed, index)) for index in range(parity)]
+    )
     digest = hashlib.sha256()
     stage_s = defaultdict(float)  # (shape, stage) -> seconds
     shape_jobs = defaultdict(int)
@@ -146,8 +187,8 @@ def run_bench(rounds=ROUNDS, wide=WIDE, seed=1):
         figure="eval_trajectories",
         description=(
             f"Seeded ARG evaluations (seed {seed}): {rounds} variational-shaped "
-            f"rounds x {len(METHODS)} methods and {wide} wide jobs, "
-            f"mean ms per evaluation"
+            f"rounds x {len(METHODS)} methods, {wide} wide jobs and {parity} "
+            f"parity jobs, mean ms per evaluation"
         ),
         table=format_table(["shape", "stage", "ms / eval"], rows, float_fmt="{:.3f}"),
         headline=headline,
@@ -163,7 +204,9 @@ def test_eval_trajectories(benchmark, record_figure):
         iterations=1,
     )
     record_figure(result)
-    assert result.headline["evals"] == QUICK_ROUNDS * len(METHODS) + QUICK_WIDE
+    assert result.headline["evals"] == (
+        QUICK_ROUNDS * len(METHODS) + QUICK_WIDE + min(QUICK_WIDE, PARITY)
+    )
 
 
 def main(argv):

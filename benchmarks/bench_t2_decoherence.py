@@ -19,22 +19,16 @@ from repro.experiments.figures.common import FigureResult
 from repro.experiments.harness import make_problem, scaled_instances
 from repro.experiments.reporting import format_table
 from repro.hardware import ibmq_16_melbourne, melbourne_calibration
-from repro.qaoa import evaluate_arg, optimize_qaoa
-from repro.sim import NoiseModel, NoisySimulator, StatevectorSimulator
+from repro.qaoa import optimize_qaoa
+from repro.sim import NoiseModel, evaluate_fast
 
 
 def _run(instances, t2_ns=40_000.0, shots=4096, trajectories=24):
     coupling = ibmq_16_melbourne()
     calibration = melbourne_calibration()
-    ideal = StatevectorSimulator()
     sims = {
-        "depol only": NoisySimulator(
-            NoiseModel.from_calibration(calibration), trajectories=trajectories
-        ),
-        "depol + T2": NoisySimulator(
-            NoiseModel.from_calibration(calibration, t2_ns=t2_ns),
-            trajectories=trajectories,
-        ),
+        "depol only": NoiseModel.from_calibration(calibration),
+        "depol + T2": NoiseModel.from_calibration(calibration, t2_ns=t2_ns),
     }
     problem_rng = np.random.default_rng(606)
     args = {(s, m): [] for s in sims for m in ("qaim", "ic")}
@@ -52,9 +46,10 @@ def _run(instances, t2_ns=40_000.0, shots=4096, trajectories=24):
                 rng=np.random.default_rng((i, method == "ic")),
             )
             depths[method].append(compiled.depth())
-            for sim_name, sim in sims.items():
-                result = evaluate_arg(
-                    compiled, problem, ideal, sim, shots=shots,
+            for sim_name, noise in sims.items():
+                result = evaluate_fast(
+                    compiled, noise=noise, shots=shots,
+                    trajectories=trajectories,
                     rng=np.random.default_rng((i, sim_name == "depol only")),
                 )
                 args[(sim_name, method)].append(result.arg)

@@ -18,9 +18,7 @@ import numpy as np
 from repro import (
     MaxCutProblem,
     NoiseModel,
-    NoisySimulator,
-    StatevectorSimulator,
-    evaluate_arg,
+    evaluate,
     ibmq_16_melbourne,
     melbourne_calibration,
     optimize_qaoa,
@@ -41,10 +39,7 @@ def main():
         f"{calibration.best_edge()}, worst edge {calibration.worst_edge()}"
     )
 
-    ideal = StatevectorSimulator()
-    noisy = NoisySimulator(
-        NoiseModel.from_calibration(calibration), trajectories=32
-    )
+    noise = NoiseModel.from_calibration(calibration)
 
     # Average over several instances — per-instance ARG is noisy (VIC's
     # reliable-path detours cost a few gates, which may or may not pay off
@@ -62,8 +57,8 @@ def main():
             compiled = compile_with_method(
                 program, device, method, calibration=calibration, rng=rng
             )
-            arg = evaluate_arg(
-                compiled, problem, ideal, noisy, shots=8192, rng=rng
+            arg = evaluate(
+                compiled, noise=noise, shots=8192, trajectories=32, rng=rng
             )
             sp = compiled.success_probability(calibration)
             means[method].append(arg.arg)

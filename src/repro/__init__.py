@@ -85,7 +85,6 @@ from .hardware import (
     uniform_calibration,
 )
 from .qaoa import (
-    ARGResult,
     IsingProblem,
     MaxCutProblem,
     Problem,
@@ -98,7 +97,6 @@ from .qaoa import (
     build_qaoa_circuit,
     decode_physical_counts,
     erdos_renyi_graph,
-    evaluate_arg,
     maxcut_to_ising,
     optimize_problem,
     optimize_qaoa,
@@ -115,7 +113,7 @@ from .sim import (
     evaluate_fast,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "__version__",
@@ -191,8 +189,6 @@ __all__ = [
     "approximation_ratio",
     "approximation_ratio_gap",
     "decode_physical_counts",
-    "evaluate_arg",
-    "ARGResult",
     "erdos_renyi_graph",
     "random_regular_graph",
 ]

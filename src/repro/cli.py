@@ -553,19 +553,15 @@ def _cmd_arg(args, out) -> int:
     from .experiments.harness import make_problem
     from .experiments.reporting import format_table
     from .hardware.devices import ibmq_16_melbourne, melbourne_calibration
-    from .qaoa import evaluate_arg, optimize_qaoa
-    from .sim import NoiseModel, NoisySimulator, StatevectorSimulator
+    from .qaoa import optimize_qaoa
+    from .sim import NoiseModel, evaluate_fast
 
     rng = np.random.default_rng(args.seed)
     problem = make_problem("er", args.nodes, args.edge_prob, rng)
     opt = optimize_qaoa(problem, p=1)
     program = problem.to_program(opt.gammas, opt.betas)
     calibration = melbourne_calibration()
-    ideal = StatevectorSimulator()
-    noisy = NoisySimulator(
-        NoiseModel.from_calibration(calibration),
-        trajectories=args.trajectories,
-    )
+    noise = NoiseModel.from_calibration(calibration)
     rows = []
     for method in ("qaim", "ip", "ic", "vic"):
         compiled = compile_with_method(
@@ -575,8 +571,12 @@ def _cmd_arg(args, out) -> int:
             calibration=calibration,
             rng=rng,
         )
-        result = evaluate_arg(
-            compiled, problem, ideal, noisy, shots=args.shots, rng=rng
+        result = evaluate_fast(
+            compiled,
+            noise=noise,
+            shots=args.shots,
+            trajectories=args.trajectories,
+            rng=rng,
         )
         rows.append(
             [

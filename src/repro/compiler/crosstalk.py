@@ -32,19 +32,11 @@ def _norm_edge(a: int, b: int) -> Edge:
     return (min(a, b), max(a, b))
 
 
-def _normalise_conflicts(
-    conflicts: Iterable[Tuple[Edge, Edge]]
-) -> FrozenSet[ConflictSpec]:
-    # Canonicalisation lives in the hardware layer now (conflict sets are
-    # a device fact carried by Target); this alias keeps the local name.
-    return normalise_conflicts(conflicts)
-
-
 def count_conflicts(
     circuit: QuantumCircuit, conflicts: Iterable[Tuple[Edge, Edge]]
 ) -> int:
     """Number of layer-level conflicting co-schedules in ``circuit``."""
-    conflict_set = _normalise_conflicts(conflicts)
+    conflict_set = normalise_conflicts(conflicts)
     total = 0
     for layer in asap_layers(circuit):
         edges = [
@@ -72,7 +64,7 @@ def sequentialize_crosstalk(
         A new circuit in which no ASAP layer co-schedules a conflicting
         coupling pair; barriers between the split groups pin the order.
     """
-    conflict_set = _normalise_conflicts(conflicts)
+    conflict_set = normalise_conflicts(conflicts)
     if not conflict_set:
         return circuit.copy()
 

@@ -185,11 +185,6 @@ class PassContext:
         means hop distances, served by the target's read-only view)."""
         return self.target.routing_distances(self.distance_metric)
 
-    # Pre-Target name kept for external passes that read the override.
-    @property
-    def distance_matrix(self) -> Optional[np.ndarray]:
-        return self.routing_distances()
-
 
 @runtime_checkable
 class Pass(Protocol):

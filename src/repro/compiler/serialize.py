@@ -32,7 +32,6 @@ __all__ = [
     "from_document",
     "from_json",
     "FORMAT_VERSION",
-    "COMPAT_READ_VERSIONS",
 ]
 
 #: Version stamped into every payload.  Bump when the payload layout
@@ -43,16 +42,9 @@ __all__ = [
 #: v5: same layout; every method measures each logical qubit at its final
 #:     home (naive/qaim/greedy/ip outputs could measure a qubit and then
 #:     SWAP it away), so results cached before that fix recompile.
+#: Only the current version is read: an older document's classical bits
+#: need not match its ``final_mapping``.
 FORMAT_VERSION = 5
-
-#: Versions :func:`from_json` can restore.  v2/v3 payloads are a strict
-#: subset of v4 (they lack the fingerprint and/or encoding fields), so
-#: they load with ``target_fingerprint=None`` / ``encoding="direct"``
-#: instead of forcing a recompile; v4 has the v5 layout.
-COMPAT_READ_VERSIONS = frozenset({2, 3, 4, 5})
-
-# Backwards-compatible alias (pre-service-layer name).
-_FORMAT_VERSION = FORMAT_VERSION
 
 
 def _coupling_payload(coupling: CouplingGraph) -> dict:
@@ -75,7 +67,7 @@ def to_document(compiled: Union[CompiledQAOA, CompiledCircuit]) -> dict:
     """The JSON document of a compiled result, as a dict (what
     :func:`to_json` encodes; the result envelope embeds it directly)."""
     payload = {
-        "format_version": _FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "kind": "qaoa" if isinstance(compiled, CompiledQAOA) else "circuit",
         "method": compiled.method,
         "coupling": _coupling_payload(compiled.coupling),
@@ -129,11 +121,10 @@ def from_document(payload: dict) -> Union[CompiledQAOA, CompiledCircuit]:
             "payload carries no 'format_version' field — it was not "
             "produced by repro.compiler.serialize.to_json"
         )
-    if version not in COMPAT_READ_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported serialisation format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION} and compatible "
-            f"versions {sorted(COMPAT_READ_VERSIONS)}); recompile the "
+            f"(this build reads version {FORMAT_VERSION}); recompile the "
             f"circuit or prune the stale cache entry"
         )
     coupling = _coupling_from(payload["coupling"])
@@ -160,21 +151,18 @@ def from_document(payload: dict) -> Union[CompiledQAOA, CompiledCircuit]:
             num_qubits=prog["num_qubits"],
             edges=[tuple(e) for e in prog["edges"]],
             levels=[Level(g, b) for g, b in prog["levels"]],
-            linear={int(k): v for k, v in prog.get("linear", {}).items()},
+            linear={int(k): v for k, v in prog["linear"].items()},
         )
-        fingerprint = payload.get("target_fingerprint")
+        fingerprint = payload["target_fingerprint"]
         result = CompiledQAOA(
             program=program,
-            warnings=[str(w) for w in payload.get("warnings", [])],
-            pass_trace=[
-                PassRecord.from_dict(r)
-                for r in payload.get("pass_trace", [])
-            ],
+            warnings=[str(w) for w in payload["warnings"]],
+            pass_trace=[PassRecord.from_dict(r) for r in payload["pass_trace"]],
             target_fingerprint=(
                 str(fingerprint) if fingerprint is not None else None
             ),
-            encoding=str(payload.get("encoding", "direct")),
-            encoding_info=dict(payload.get("encoding_info") or {}),
+            encoding=str(payload["encoding"]),
+            encoding_info=dict(payload["encoding_info"]),
             **common,
         )
     else:

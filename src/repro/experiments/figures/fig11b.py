@@ -26,10 +26,9 @@ import numpy as np
 
 from ...compiler import compile_with_method
 from ...hardware.devices import ibmq_16_melbourne, melbourne_calibration
-from ...qaoa.evaluation import evaluate_arg
 from ...qaoa.optimizer import optimize_qaoa
-from ...sim.noise import NoiseModel, NoisySimulator
-from ...sim.statevector import StatevectorSimulator
+from ...sim.fastpath import evaluate_fast
+from ...sim.noise import NoiseModel
 from ..harness import make_problem, scaled_instances, stable_hash
 from ..reporting import format_table
 from .common import FigureResult
@@ -52,10 +51,7 @@ def run(
     shots = shots or scaled_instances(reduced=4096, paper=40960)
     coupling = ibmq_16_melbourne()
     calibration = melbourne_calibration()
-    ideal = StatevectorSimulator()
-    noisy = NoisySimulator(
-        NoiseModel.from_calibration(calibration), trajectories=trajectories
-    )
+    noise = NoiseModel.from_calibration(calibration)
 
     rows = []
     headline = {}
@@ -76,8 +72,12 @@ def run(
                     calibration=calibration,
                     rng=rng,
                 )
-                result = evaluate_arg(
-                    compiled, problem, ideal, noisy, shots=shots, rng=rng
+                result = evaluate_fast(
+                    compiled,
+                    noise=noise,
+                    shots=shots,
+                    trajectories=trajectories,
+                    rng=rng,
                 )
                 per_method[method].append(result.arg)
         for method in METHODS:

@@ -7,11 +7,9 @@ from .analytic import (
 )
 from .circuit_builder import build_qaoa_circuit, order_edges
 from .evaluation import (
-    ARGResult,
     approximation_ratio,
     approximation_ratio_gap,
     decode_physical_counts,
-    evaluate_arg,
 )
 from .graphs import (
     ensure_no_isolated_qubits,
@@ -67,8 +65,6 @@ __all__ = [
     "approximation_ratio",
     "approximation_ratio_gap",
     "decode_physical_counts",
-    "evaluate_arg",
-    "ARGResult",
     "learn_parameters",
     "transfer_quality",
     "TransferredParameters",

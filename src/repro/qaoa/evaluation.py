@@ -13,15 +13,16 @@ The paper's quality pipeline (Sections II and V-A):
 Compiled circuits live on physical qubits and their logical qubits end up
 wherever routing left them, so :func:`decode_physical_counts` folds sampled
 physical bitstrings back into logical ones through the final mapping before
-any cost is evaluated.
+any cost is evaluated.  These helpers are the paper's counts procedure in
+its plain form, for directly encoded circuits only;
+:func:`repro.sim.fastpath.evaluate_fast` measures the ARG of a compiled
+circuit of either encoding, and on a direct one it draws the samples this
+procedure draws.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Mapping, Optional
-
-import numpy as np
+from typing import Dict, Mapping
 
 from ..sim.sampler import expectation_from_counts, total_shots
 from .problems import MaxCutProblem
@@ -30,8 +31,6 @@ __all__ = [
     "approximation_ratio",
     "approximation_ratio_gap",
     "decode_physical_counts",
-    "ARGResult",
-    "evaluate_arg",
 ]
 
 
@@ -83,112 +82,3 @@ def approximation_ratio_gap(r0: float, rh: float) -> float:
     if r0 == 0.0:
         raise ValueError("noiseless approximation ratio r0 is zero")
     return 100.0 * (r0 - rh) / r0
-
-
-@dataclasses.dataclass
-class ARGResult:
-    """ARG measurement for one compiled circuit.
-
-    Attributes:
-        r0: Noiseless-sampling approximation ratio of the compiled circuit.
-        rh: Hardware (noisy-simulation) approximation ratio.
-        arg: ``100 * (r0 - rh) / r0``.
-        shots: Samples used on each side.
-    """
-
-    r0: float
-    rh: float
-    arg: float
-    shots: int
-
-
-def evaluate_arg(
-    compiled,
-    problem: MaxCutProblem,
-    ideal_simulator,
-    noisy_simulator,
-    shots: int = 4096,
-    rng: Optional[np.random.Generator] = None,
-    fast: object = "auto",
-) -> ARGResult:
-    """Measure the ARG of a compiled QAOA circuit (Section V-A procedure).
-
-    Args:
-        compiled: A compiled result exposing ``circuit`` (physical
-            :class:`~repro.circuits.circuit.QuantumCircuit`),
-            ``final_mapping`` (logical -> physical) and ``num_logical``
-            (e.g. :class:`repro.compiler.flow.CompiledQAOA`).
-        problem: The MaxCut instance the circuit solves.
-        ideal_simulator: Object with ``sample_counts(circuit, shots, rng)``
-            producing noiseless samples.
-        noisy_simulator: Same interface, standing in for the hardware.
-        shots: Samples per side (paper: 40960 on melbourne).
-        rng: Random generator for sampling.
-        fast: ``"auto"`` (default) routes through
-            :func:`repro.sim.fastpath.evaluate_fast` when both simulators
-            are the stock gate-by-gate ones and the compiled circuit
-            proves ARG-equivalent, falling back to gate-by-gate sampling
-            otherwise; ``False`` forces the legacy path; ``True`` demands
-            the fast path and raises :class:`ValueError` when it cannot
-            be taken.  The fast path consumes random draws in the same
-            order as the legacy path, so a seeded ``rng`` yields
-            identical samples either way.
-
-    Returns:
-        An :class:`ARGResult`.
-    """
-    if fast not in ("auto", True, False):
-        raise ValueError(f"fast must be 'auto', True or False, got {fast!r}")
-    rng = rng if rng is not None else np.random.default_rng()
-
-    if fast is not False:
-        from ..sim.fastpath import cost_diagonal, evaluate_fast, fastpath_plan
-        from ..sim.noise import NoisySimulator
-        from ..sim.statevector import StatevectorSimulator
-
-        reason = None
-        if not (
-            type(ideal_simulator) is StatevectorSimulator
-            and type(noisy_simulator) is NoisySimulator
-        ):
-            reason = "simulators are not the stock gate-by-gate pair"
-        elif (
-            cost_diagonal(problem).fingerprint
-            != cost_diagonal(compiled.program).fingerprint
-        ):
-            reason = "problem content differs from the compiled program"
-        else:
-            plan = fastpath_plan(compiled)
-            if not plan.ok:
-                reason = plan.reason
-        if reason is None:
-            outcome = evaluate_fast(
-                compiled,
-                noise=noisy_simulator.noise,
-                shots=shots,
-                trajectories=noisy_simulator.trajectories,
-                rng=rng,
-                mode="sampled",
-                durations=noisy_simulator.durations,
-            )
-            return ARGResult(
-                r0=outcome.r0, rh=outcome.rh, arg=outcome.arg, shots=shots
-            )
-        if fast is True:
-            raise ValueError(f"fast path unavailable: {reason}")
-
-    circuit = compiled.circuit
-    mapping = compiled.final_mapping
-    n_logical = compiled.num_logical
-
-    ideal_counts = decode_physical_counts(
-        ideal_simulator.sample_counts(circuit, shots, rng), mapping, n_logical
-    )
-    noisy_counts = decode_physical_counts(
-        noisy_simulator.sample_counts(circuit, shots, rng), mapping, n_logical
-    )
-    r0 = approximation_ratio(ideal_counts, problem)
-    rh = approximation_ratio(noisy_counts, problem)
-    return ARGResult(
-        r0=r0, rh=rh, arg=approximation_ratio_gap(r0, rh), shots=shots
-    )

@@ -138,7 +138,9 @@ def noisy_expectation_grid(
     Every grid point re-compiles with the same seed, so the gate structure
     is fixed and only the angles vary — matching how a parameter sweep runs
     on a real device.  Sampled expectations (``shots`` each) stand in for
-    the hardware estimator.
+    the hardware estimator.  Samples decode through ``final_mapping`` as
+    logical bits, so a method whose circuit uses another encoding (parity
+    slots) raises :class:`ValueError`.
     """
     from ..compiler import compile_with_method
     from .evaluation import decode_physical_counts
@@ -158,6 +160,11 @@ def noisy_expectation_grid(
                 calibration=calibration,
                 rng=np.random.default_rng(1234),  # fixed: same structure
             )
+            if compiled.encoding != "direct":
+                raise ValueError(
+                    f"noisy_expectation_grid decodes logical bits; method "
+                    f"{method!r} compiles to the {compiled.encoding!r} encoding"
+                )
             counts = decode_physical_counts(
                 noisy_simulator.sample_counts(compiled.circuit, shots, rng),
                 compiled.final_mapping,

@@ -29,7 +29,13 @@ stream must be the Hadamard prefix, ``p`` complete cost blocks (the
 level's CPHASE/RZ multiset, SWAP-tracked), and per-level mixers, ending
 in the recorded ``final_mapping``.  Anything else falls back to the
 gate-by-gate simulators, so the fast path can never silently change
-semantics.
+semantics.  Lechner's parity encoding has its own verifier,
+:func:`parity_plan`, and evolves its ``2^K`` slot register the same way.
+
+:func:`evaluate_fast` is the one evaluation body for both encodings: the
+encoding picks the register, its cut table, its verifier and its
+noiseless kernel, and the sampling, the gate-level fallback, the readout
+channel, the noisy side and ARG are written once.
 
 For noisy evaluation, :func:`logical_trajectory` runs all of an
 evaluation's trajectories in the logical frame while consuming
@@ -63,7 +69,8 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .noise import _ONE_QUBIT_PAULIS, _TWO_QUBIT_PAULIS, NoiseModel
+from .noise import _ONE_QUBIT_PAULIS, _TWO_QUBIT_PAULIS, NoiseModel, NoisySimulator
+from .statevector import StatevectorSimulator
 from ..store.registry import FingerprintRegistry
 
 __all__ = [
@@ -260,14 +267,7 @@ class CostDiagonal:
         ``c'(z) = E[c(y)]`` over independent per-bit flips of ``z`` —
         exact, no readout sampling needed.
         """
-        values = np.array(self.cut, dtype=float)
-        indices = np.arange(self.dim, dtype=np.int64)
-        for q in sorted(flip_probs):
-            p = float(flip_probs[q])
-            if p <= 0.0:
-                continue
-            values = (1.0 - p) * values + p * values[indices ^ (1 << q)]
-        return values
+        return _readout_adjusted(self.cut, flip_probs)
 
     def __repr__(self) -> str:
         return (
@@ -275,6 +275,21 @@ class CostDiagonal:
             f"num_edges={len(self.edges)}, "
             f"fingerprint={self.fingerprint[:12]})"
         )
+
+
+def _readout_adjusted(
+    values: np.ndarray, flip_probs: Mapping[int, float]
+) -> np.ndarray:
+    """``values`` over a register's basis after independent classical
+    flips of its bits (``flip_probs`` maps a bit to its probability)."""
+    values = np.array(values, dtype=float)
+    indices = np.arange(values.size, dtype=np.int64)
+    for q in sorted(flip_probs):
+        p = float(flip_probs[q])
+        if p <= 0.0:
+            continue
+        values = (1.0 - p) * values + p * values[indices ^ (1 << q)]
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -365,14 +380,21 @@ def qaoa_statevector(program, diagonal: Optional[CostDiagonal] = None) -> np.nda
         raise ValueError(
             f"diagonal is over {diag.num_qubits} qubits, program has {n}"
         )
-    dim = 1 << n
+    return _evolve_levels(program, diag.phase, n)
+
+
+def _evolve_levels(program, phase: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The level loop of :func:`qaoa_statevector` over any register whose
+    cost block is ``exp(-i * gamma * phase)`` (the parity encoding's
+    ``K``-slot register runs it over
+    :meth:`~repro.compiler.parity.ParityLayout.phase_vector`)."""
+    dim = 1 << num_qubits
     state = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    phase = diag.phase
     for level in range(program.p):
         gamma = program.levels[level].gamma
         state = state * np.exp(-1j * gamma * phase)
         mixer = _rx_matrix(program.mixer_angle(level))
-        for q in range(n):
+        for q in range(num_qubits):
             state = _apply_single(state, mixer, q)
     return state
 
@@ -767,7 +789,7 @@ def parity_plan(compiled) -> FastPathPlan:
     and every slot's home last measured while it carried that slot.  Any
     accepted circuit therefore
     implements exactly ``prod_levels [mixer . exp(-i gamma D(y))]`` over
-    the parity basis, which :func:`_evaluate_parity` evolves directly.
+    the parity basis, which :func:`evaluate_fast` evolves directly.
     """
     from ..compiler.parity import (
         ParityLayout,
@@ -1363,155 +1385,6 @@ def _sample_support(
 
 
 # ----------------------------------------------------------------------
-# parity-frame evaluation
-# ----------------------------------------------------------------------
-def _evaluate_parity(
-    compiled,
-    *,
-    noise,
-    shots,
-    trajectories,
-    rng,
-    mode,
-    durations,
-    use_fastpath,
-):
-    """Evaluate a parity-encoded compiled circuit (``encoding="parity"``).
-
-    The fast ideal path evolves the ``2^K`` parity register directly —
-    one elementwise ``exp(-i gamma D(y))`` multiply per level against
-    :meth:`~repro.compiler.parity.ParityLayout.phase_vector` plus
-    axis-wise RX mixers — admitted only after :func:`parity_plan` proves
-    the physical stream implements exactly that product.  Measured slot
-    bits decode to logical assignments by XOR along spanning-tree paths
-    before the cut table is consulted, so ``r0``/``rh`` are directly
-    comparable with direct-encoding evaluations of the same problem.
-    The noisy side is always gate-by-gate (the dense parity constraint
-    gadgets have no cheap logical-frame replay), with readout applied
-    analytically in ``exact`` mode on the slot homes only — flips on
-    unmapped physical qubits cannot reach any decoded bit.
-    """
-    from ..compiler.parity import ParityLayout, parity_decode_indices
-
-    program = compiled.program
-    n_phys = compiled.circuit.num_qubits
-    layout = ParityLayout.from_program(program)
-    K = layout.num_slots
-    info = getattr(compiled, "encoding_info", None) or {}
-    strength = float(info.get("constraint_strength", 2.0))
-    mapping = {int(s): int(p) for s, p in compiled.final_mapping.items()}
-    timings: Dict[str, float] = {}
-
-    tick = time.perf_counter()
-    diag = cost_diagonal(program)
-    max_cut = diag.max_value
-    if max_cut == 0.0:
-        raise ValueError("problem has zero maximum cut")
-    # cut value of every parity-basis index, through the decode gauge
-    slot_cut = diag.cut[
-        parity_decode_indices(np.arange(1 << K, dtype=np.int64), layout)
-    ]
-    timings["diagonal"] = time.perf_counter() - tick
-
-    if use_fastpath:
-        plan = parity_plan(compiled)
-    else:
-        plan = FastPathPlan(False, "fast path disabled by caller")
-    fast = plan.ok
-
-    # -- ideal side ----------------------------------------------------
-    tick = time.perf_counter()
-    if fast:
-        phase = layout.phase_vector(strength)
-        state = np.full(1 << K, 1.0 / np.sqrt(1 << K), dtype=complex)
-        for level in range(program.p):
-            gamma = program.levels[level].gamma
-            state = state * np.exp(-1j * gamma * phase)
-            mixer = _rx_matrix(program.mixer_angle(level))
-            for s in range(K):
-                state = _apply_single(state, mixer, s)
-        probs_slots = np.abs(state) ** 2
-        if mode == "exact":
-            r0 = float(np.dot(probs_slots, slot_cut)) / max_cut
-        else:
-            phys_map = _physical_index_map(mapping, K)
-            order = np.argsort(phys_map)
-            picks = _sample_support(
-                rng.random(shots), probs_slots[order], phys_map[order], n_phys
-            )
-            r0 = float(slot_cut[order[picks]].mean()) / max_cut
-    else:
-        from .statevector import StatevectorSimulator
-
-        sim = StatevectorSimulator(max_qubits=max(n_phys, 24))
-        if mode == "exact":
-            probs_phys = sim.probabilities(compiled.circuit)
-            phys_cut = slot_cut[
-                decode_indices(np.arange(1 << n_phys), mapping, K)
-            ]
-            r0 = float(np.dot(probs_phys, phys_cut)) / max_cut
-        else:
-            sampled = sim.sample_indices(compiled.circuit, shots, rng)
-            r0 = float(
-                slot_cut[decode_indices(sampled, mapping, K)].mean()
-            ) / max_cut
-    timings["ideal"] = time.perf_counter() - tick
-
-    # -- noisy side ----------------------------------------------------
-    rh = None
-    arg = None
-    n_traj = trajectories
-    if noise is not None:
-        from .noise import NoisySimulator
-
-        tick = time.perf_counter()
-        nsim = NoisySimulator(
-            noise, trajectories=trajectories, durations=durations
-        )
-        if mode == "exact":
-            readout = slot_cut[
-                decode_indices(np.arange(1 << n_phys), mapping, K)
-            ].astype(float)
-            indices = np.arange(1 << n_phys, dtype=np.int64)
-            for s in range(K):
-                p = noise.readout_flip.get(mapping[s], 0.0)
-                if p <= 0.0:
-                    continue
-                readout = (1.0 - p) * readout + p * readout[
-                    indices ^ (1 << mapping[s])
-                ]
-            total = 0.0
-            for _ in range(n_traj):
-                state = nsim.run_trajectory(compiled.circuit, rng)
-                probs = np.abs(state) ** 2
-                probs /= probs.sum()
-                total += float(np.dot(probs, readout))
-            rh = total / n_traj / max_cut
-        else:
-            n_traj = min(trajectories, shots)
-            indices = nsim.sample_indices(compiled.circuit, shots, rng)
-            rh = float(
-                slot_cut[decode_indices(indices, mapping, K)].mean()
-            ) / max_cut
-        if r0 == 0.0:
-            raise ValueError("noiseless approximation ratio r0 is zero")
-        arg = 100.0 * (r0 - rh) / r0
-        timings["noisy"] = time.perf_counter() - tick
-
-    return EvalOutcome(
-        r0=r0,
-        rh=rh,
-        arg=arg,
-        shots=shots if mode == "sampled" else 0,
-        trajectories=n_traj if noise is not None else 0,
-        mode=mode,
-        fastpath=fast,
-        reason=plan.reason,
-        timings=timings,
-    )
-
-
-# ----------------------------------------------------------------------
 # the evaluation driver
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
@@ -1544,6 +1417,42 @@ class EvalOutcome:
     timings: Dict[str, float]
 
 
+def _register(compiled, encoding: str, diag: CostDiagonal):
+    """What the circuit's encoding decides: ``(size, cut, plan, kernel)``.
+
+    ``size`` is the register the measured bits address (``n`` logical
+    qubits, or ``K`` parity slots), ``cut`` the cut value of each of its
+    basis indices, ``plan`` the verifier that admits the circuit to the
+    fast path, and ``kernel()`` the exact noiseless register state.
+    Parity slot bits decode to a logical assignment by XOR along
+    spanning-tree paths before the cut table is read, so ``r0``/``rh``
+    compare directly with direct-encoding evaluations of the problem.
+    """
+    program = compiled.program
+    if encoding == "direct":
+        return (
+            program.num_qubits,
+            diag.cut,
+            fastpath_plan,
+            lambda: qaoa_statevector(program, diag),
+        )
+    if encoding != "parity":
+        raise ValueError(f"unknown circuit encoding {encoding!r}")
+    from ..compiler.parity import ParityLayout, parity_decode_indices
+
+    layout = ParityLayout.from_program(program)
+    info = getattr(compiled, "encoding_info", None) or {}
+    strength = float(info.get("constraint_strength", 2.0))
+    size = layout.num_slots
+    slots = np.arange(1 << size, dtype=np.int64)
+    return (
+        size,
+        diag.cut[parity_decode_indices(slots, layout)],
+        parity_plan,
+        lambda: _evolve_levels(program, layout.phase_vector(strength), size),
+    )
+
+
 def evaluate_fast(
     compiled,
     *,
@@ -1557,32 +1466,41 @@ def evaluate_fast(
 ) -> EvalOutcome:
     """Evaluate ``r0``/``rh``/ARG of a compiled QAOA circuit in one pass.
 
+    The one evaluation body for both encodings.  The encoding picks the
+    register (``n`` logical qubits, or ``K`` parity slots), its cut
+    table, its verifier (:func:`fastpath_plan` or :func:`parity_plan`)
+    and its noiseless kernel; sampling, the gate-level fallback, the
+    readout channel and ARG are shared.  The noisy side replays
+    trajectories in the logical frame (:func:`logical_trajectory`) for a
+    verified direct circuit, and runs gate by gate otherwise: parity's
+    constraint gadgets have no cheap logical-frame replay.
+
     The cost diagonal is interned once per problem and reused for the
     ideal expectation, every noisy trajectory, and the analytic readout
     channel.  In ``sampled`` mode the random-draw order matches the
     gate-by-gate simulators exactly (ideal sampling, then per-trajectory
     noise draws and sampling, then readout flips), so a seeded generator
-    reproduces the legacy pipeline's stream whether or not the fast path
-    is taken.  In ``exact`` mode no sampling happens: ``r0`` is the exact
-    expectation and ``rh`` averages exact per-trajectory expectations
-    under the same noise realisations, with readout applied analytically
-    to the diagonal.
+    gives the same numbers whether or not the fast path is taken.  In
+    ``exact`` mode no sampling happens: ``r0`` is the exact expectation
+    and ``rh`` averages exact per-trajectory expectations under the same
+    noise realisations, with readout applied analytically to the cut
+    table in the register frame.
 
     Args:
         compiled: A compiled result exposing ``circuit``, ``program``,
-            ``initial_mapping``, ``final_mapping`` (e.g.
+            ``initial_mapping``, ``final_mapping`` and optionally
+            ``encoding``/``encoding_info`` (e.g.
             :class:`repro.compiler.flow.CompiledQAOA`).
         noise: Noise model for the ``rh`` side; ``None`` evaluates only
             ``r0``.
         shots: Samples per side in ``sampled`` mode.
         trajectories: Noise realisations for ``rh``.
-        rng: Random generator (shared across both sides, like the legacy
-            pipeline).
+        rng: Random generator, shared across both sides.
         mode: ``"sampled"`` or ``"exact"``.
         durations: Gate-duration model for T2 timing (defaults to
             :class:`~repro.circuits.timing.DurationModel` when needed).
         use_fastpath: Force the gate-by-gate fallback when ``False``
-            (benchmark baselines).
+            (the reference the fast path must equal).
     """
     if mode not in ("sampled", "exact"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -1592,69 +1510,52 @@ def evaluate_fast(
         raise ValueError("need at least one trajectory")
     rng = rng if rng is not None else np.random.default_rng()
     encoding = getattr(compiled, "encoding", "direct")
-    if encoding == "parity":
-        return _evaluate_parity(
-            compiled,
-            noise=noise,
-            shots=shots,
-            trajectories=trajectories,
-            rng=rng,
-            mode=mode,
-            durations=durations,
-            use_fastpath=use_fastpath,
-        )
-    if encoding != "direct":
-        raise ValueError(f"unknown circuit encoding {encoding!r}")
-    program = compiled.program
-    n = program.num_qubits
     n_phys = compiled.circuit.num_qubits
     mapping = {int(q): int(p) for q, p in compiled.final_mapping.items()}
     timings: Dict[str, float] = {}
 
     tick = time.perf_counter()
-    diag = cost_diagonal(program)
-    cut = diag.cut
+    diag = cost_diagonal(compiled.program)
     max_cut = diag.max_value
     if max_cut == 0.0:
         raise ValueError("problem has zero maximum cut")
+    size, cut, verify, kernel = _register(compiled, encoding, diag)
     timings["diagonal"] = time.perf_counter() - tick
 
     if use_fastpath:
-        plan = fastpath_plan(compiled)
+        plan = verify(compiled)
     else:
         plan = FastPathPlan(False, "fast path disabled by caller")
     fast = plan.ok
     if fast and mode == "sampled":
-        # Logical basis states in the order of their physical indices —
+        # Register basis states in the order of their physical indices —
         # the order Generator.choice walks the physical register in.
-        phys_map = _physical_index_map(mapping, n)
+        phys_map = _physical_index_map(mapping, size)
         order = np.argsort(phys_map)
         positions = phys_map[order]
 
     # -- ideal side ----------------------------------------------------
     tick = time.perf_counter()
     if fast:
-        probs_logical = np.abs(qaoa_statevector(program, diag)) ** 2
+        probs = np.abs(kernel()) ** 2
         if mode == "exact":
-            r0 = float(np.dot(probs_logical, cut)) / max_cut
+            r0 = float(np.dot(probs, cut)) / max_cut
         else:
             picks = _sample_support(
-                rng.random(shots), probs_logical[order], positions, n_phys
+                rng.random(shots), probs[order], positions, n_phys
             )
             r0 = float(cut[order[picks]].mean()) / max_cut
     else:
-        from .statevector import StatevectorSimulator
-
         sim = StatevectorSimulator(max_qubits=max(n_phys, 24))
         if mode == "exact":
             probs_phys = sim.probabilities(compiled.circuit)
             phys_cut = cut[
-                decode_indices(np.arange(1 << n_phys), mapping, n)
+                decode_indices(np.arange(1 << n_phys), mapping, size)
             ]
             r0 = float(np.dot(probs_phys, phys_cut)) / max_cut
         else:
             sampled = sim.sample_indices(compiled.circuit, shots, rng)
-            r0 = float(cut[decode_indices(sampled, mapping, n)].mean()) / max_cut
+            r0 = float(cut[decode_indices(sampled, mapping, size)].mean()) / max_cut
     timings["ideal"] = time.perf_counter() - tick
 
     # -- noisy side ----------------------------------------------------
@@ -1663,11 +1564,19 @@ def evaluate_fast(
     n_traj = trajectories
     if noise is not None:
         tick = time.perf_counter()
-        if mode == "exact":
-            readout = diag.readout_adjusted(
-                {q: noise.readout_flip.get(mapping[q], 0.0) for q in range(n)}
+        # Only the direct encoding replays trajectories in the logical
+        # frame; parity's constraint gadgets run gate by gate.
+        replay = fast and encoding == "direct"
+        if not replay:
+            nsim = NoisySimulator(
+                noise, trajectories=trajectories, durations=durations
             )
-            if fast:
+        if mode == "exact":
+            readout = _readout_adjusted(
+                cut,
+                {r: noise.readout_flip.get(mapping[r], 0.0) for r in range(size)},
+            )
+            if replay:
 
                 def expectation(state, _dirt_mask, _uniforms):
                     probs = np.abs(state) ** 2
@@ -1684,13 +1593,8 @@ def evaluate_fast(
                     reduce=expectation,
                 )
             else:
-                from .noise import NoisySimulator
-
-                nsim = NoisySimulator(
-                    noise, trajectories=n_traj, durations=durations
-                )
                 phys_readout = readout[
-                    decode_indices(np.arange(1 << n_phys), mapping, n)
+                    decode_indices(np.arange(1 << n_phys), mapping, size)
                 ]
                 values = []
                 for _ in range(n_traj):
@@ -1704,7 +1608,7 @@ def evaluate_fast(
             rh = total / n_traj / max_cut
         else:
             n_traj = min(trajectories, shots)
-            if fast:
+            if replay:
 
                 def sample(state, dirt_mask, uniforms):
                     # Dirt only sets bits of unmapped qubits, so it moves
@@ -1717,7 +1621,7 @@ def evaluate_fast(
                     )
                     return order[picks]
 
-                logical = np.concatenate(
+                register = np.concatenate(
                     logical_trajectory(
                         compiled,
                         noise,
@@ -1730,25 +1634,20 @@ def evaluate_fast(
                     )
                 )
                 # Readout flips in NoisySimulator's exact draw order, in
-                # the logical frame: a flip on an unmapped qubit draws
+                # the register frame: a flip on an unmapped qubit draws
                 # its randoms but reaches no decoded bit.
-                owner = {p: q for q, p in mapping.items()}
+                owner = {p: r for r, p in mapping.items()}
                 for phys in range(n_phys):
                     p = noise.readout_flip.get(phys, 0.0)
                     if p <= 0.0:
                         continue
-                    flips = rng.random(len(logical)) < p
+                    flips = rng.random(len(register)) < p
                     if phys in owner:
-                        logical[flips] ^= 1 << owner[phys]
+                        register[flips] ^= 1 << owner[phys]
             else:
-                from .noise import NoisySimulator
-
-                nsim = NoisySimulator(
-                    noise, trajectories=trajectories, durations=durations
-                )
                 indices = nsim.sample_indices(compiled.circuit, shots, rng)
-                logical = decode_indices(indices, mapping, n)
-            rh = float(cut[logical].mean()) / max_cut
+                register = decode_indices(indices, mapping, size)
+            rh = float(cut[register].mean()) / max_cut
         if r0 == 0.0:
             raise ValueError("noiseless approximation ratio r0 is zero")
         arg = 100.0 * (r0 - rh) / r0

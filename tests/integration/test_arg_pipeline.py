@@ -5,8 +5,10 @@ import pytest
 
 from repro.compiler import compile_with_method
 from repro.hardware import ibmq_16_melbourne, melbourne_calibration
-from repro.qaoa import MaxCutProblem, evaluate_arg, optimize_qaoa
-from repro.sim import NoiseModel, NoisySimulator, StatevectorSimulator
+from repro.qaoa import MaxCutProblem, optimize_qaoa
+from repro.sim import NoiseModel, evaluate_fast
+
+TRAJECTORIES = 24
 
 
 @pytest.fixture(scope="module")
@@ -18,9 +20,7 @@ def setup():
     opt = optimize_qaoa(problem, p=1)
     program = problem.to_program(opt.gammas, opt.betas)
     cal = melbourne_calibration()
-    ideal = StatevectorSimulator()
-    noisy = NoisySimulator(NoiseModel.from_calibration(cal), trajectories=24)
-    return problem, program, cal, ideal, noisy
+    return problem, program, cal, NoiseModel.from_calibration(cal)
 
 
 class TestARGPipeline:
@@ -33,7 +33,7 @@ class TestARGPipeline:
 
     @pytest.mark.parametrize("method", ["qaim", "ip", "ic", "vic"])
     def test_arg_is_finite_and_noise_positive(self, setup, method):
-        problem, program, cal, ideal, noisy = setup
+        problem, program, cal, noise = setup
         compiled = compile_with_method(
             program,
             ibmq_16_melbourne(),
@@ -41,8 +41,8 @@ class TestARGPipeline:
             calibration=cal,
             rng=np.random.default_rng(1),
         )
-        result = evaluate_arg(
-            compiled, problem, ideal, noisy, shots=2048,
+        result = evaluate_fast(
+            compiled, noise=noise, shots=2048, trajectories=TRAJECTORIES,
             rng=np.random.default_rng(2),
         )
         assert result.rh < result.r0  # hardware noise must cost something
@@ -52,42 +52,38 @@ class TestARGPipeline:
         """The compiled circuit's noiseless sampling ratio should match the
         optimiser's expectation / maxcut ratio up to shot noise — the
         compiled circuit computes the same state."""
-        problem, program, cal, ideal, noisy = setup
+        problem, program, cal, noise = setup
         opt = optimize_qaoa(problem, p=1)
         compiled = compile_with_method(
             program, ibmq_16_melbourne(), "ic", calibration=cal,
             rng=np.random.default_rng(3),
         )
-        result = evaluate_arg(
-            compiled, problem, ideal, noisy, shots=8192,
+        result = evaluate_fast(
+            compiled, noise=noise, shots=8192, trajectories=TRAJECTORIES,
             rng=np.random.default_rng(4),
         )
         assert result.r0 == pytest.approx(opt.approximation_ratio, abs=0.03)
 
     def test_heavier_noise_worsens_arg(self, setup):
-        problem, program, cal, ideal, _ = setup
+        problem, program, cal, base = setup
         compiled = compile_with_method(
             program, ibmq_16_melbourne(), "ic", calibration=cal,
             rng=np.random.default_rng(5),
         )
-        base = NoiseModel.from_calibration(cal)
-        mild = NoisySimulator(base.scaled(0.3), trajectories=24)
-        harsh = NoisySimulator(base.scaled(3.0), trajectories=24)
-        arg_mild = evaluate_arg(
-            compiled, problem, ideal, mild, shots=4096,
-            rng=np.random.default_rng(6),
-        ).arg
-        arg_harsh = evaluate_arg(
-            compiled, problem, ideal, harsh, shots=4096,
-            rng=np.random.default_rng(6),
-        ).arg
+        arg_mild, arg_harsh = (
+            evaluate_fast(
+                compiled, noise=base.scaled(factor), shots=4096,
+                trajectories=TRAJECTORIES, rng=np.random.default_rng(6),
+            ).arg
+            for factor in (0.3, 3.0)
+        )
         assert arg_harsh > arg_mild
 
     def test_fewer_gates_generally_means_lower_arg(self, setup):
         """The paper's core claim behind Figure 11(b): better-compiled
         (fewer gates) circuits lose less approximation ratio on hardware.
         Compare the best and worst compilations of the same instance."""
-        problem, program, cal, ideal, noisy = setup
+        problem, program, cal, noise = setup
         rng = np.random.default_rng(8)
         compiled = {
             m: compile_with_method(
@@ -99,8 +95,9 @@ class TestARGPipeline:
         args = {
             m: np.mean(
                 [
-                    evaluate_arg(
-                        c, problem, ideal, noisy, shots=4096,
+                    evaluate_fast(
+                        c, noise=noise, shots=4096,
+                        trajectories=TRAJECTORIES,
                         rng=np.random.default_rng(100 + r),
                     ).arg
                     for r in range(3)

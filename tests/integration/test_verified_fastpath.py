@@ -6,8 +6,8 @@ must accept what every registered method emits under both routers on
 both paper devices — a refusal would send the evaluation to the
 gate-level simulators without a word.  They must also refuse a circuit
 whose classical bit ``c[final_mapping[q]]`` holds another qubit's
-outcome, and a verified sampled evaluation must return the very numbers
-of the gate-level fallback.
+outcome, and a verified sampled evaluation of either encoding must
+return the very numbers of the gate-level fallback.
 """
 
 import dataclasses
@@ -143,34 +143,43 @@ def test_plan_refuses_a_home_last_measured_while_unmapped():
     assert f"c[{home}] reads an unmapped wire, not logical qubit {q}" in plan.reason
 
 
-DIRECT_METHODS = [m for m in available_methods() if m != "parity"]
-
-
-@pytest.mark.parametrize("method", DIRECT_METHODS)
-def test_sampled_fastpath_equals_gate_level_fallback(method):
-    """Same generator, same draws: r0 and rh are equal, not just close."""
-    coupling = ibmq_16_melbourne()
+def _fast_and_fallback(method, mode):
     calibration = melbourne_calibration()
     program = _problem(3).to_program([0.7], [0.35])
     compiled = compile_with_method(
         program,
-        coupling,
+        ibmq_16_melbourne(),
         method,
         calibration=calibration if method == "vic" else None,
         rng=np.random.default_rng(3),
     )
-    noise = NoiseModel.from_calibration(calibration)
     fast, slow = (
         evaluate_fast(
             compiled,
-            noise=noise,
+            noise=NoiseModel.from_calibration(calibration),
             shots=1024,
             trajectories=4,
             rng=np.random.default_rng(11),
+            mode=mode,
             use_fastpath=use_fastpath,
         )
         for use_fastpath in (True, False)
     )
     assert fast.fastpath and not slow.fastpath
+    return fast, slow
+
+
+@pytest.mark.parametrize("method", available_methods())
+def test_sampled_fastpath_equals_gate_level_fallback(method):
+    """Same generator, same draws: r0 and rh are equal, not just close."""
+    fast, slow = _fast_and_fallback(method, "sampled")
     assert fast.r0 == slow.r0
     assert fast.rh == slow.rh
+
+
+def test_exact_parity_fastpath_equals_gate_level_fallback():
+    """Parity's noisy side is gate by gate on both paths, so rh is equal;
+    r0 differs only in the order of the expectation's sum."""
+    fast, slow = _fast_and_fallback("parity", "exact")
+    assert fast.rh == slow.rh
+    assert abs(fast.r0 - slow.r0) < 1e-12

@@ -5,8 +5,9 @@ simulation (:func:`repro.sim.fastpath.qaoa_statevector`) and the verified
 compiled-circuit path must agree with the gate-by-gate
 :class:`~repro.sim.statevector.StatevectorSimulator` to machine precision
 — global phase included — across random graphs, levels, and angles, and
-the sampled evaluation must be *bit-identical* to the legacy
-``evaluate_arg`` procedure (same RNG stream, same draws).
+the sampled evaluation must equal the paper's counts procedure
+(``sample_counts``, ``decode_physical_counts``, ``approximation_ratio``)
+on the same RNG stream, draw for draw.
 """
 
 import numpy as np
@@ -15,7 +16,12 @@ from hypothesis import strategies as st
 
 from repro.compiler import compile_with_method
 from repro.hardware.devices import get_device, melbourne_calibration
-from repro.qaoa import build_qaoa_circuit, evaluate_arg
+from repro.qaoa import (
+    approximation_ratio,
+    approximation_ratio_gap,
+    build_qaoa_circuit,
+    decode_physical_counts,
+)
 from repro.qaoa.problems import Level, MaxCutProblem, QAOAProgram
 from repro.sim import NoiseModel, NoisySimulator, StatevectorSimulator
 from repro.sim.fastpath import (
@@ -154,26 +160,31 @@ class TestCompiledPath:
         for problem, _, compiled in _compiled_cases():
             if compiled.circuit.num_qubits != 15:
                 continue
-            fast = evaluate_arg(
+            fast = evaluate_fast(
                 compiled,
-                problem,
-                ideal,
-                noisy,
+                noise=noisy.noise,
                 shots=512,
+                trajectories=noisy.trajectories,
                 rng=np.random.default_rng(17),
-                fast=True,
             )
-            slow = evaluate_arg(
-                compiled,
-                problem,
-                ideal,
-                noisy,
-                shots=512,
-                rng=np.random.default_rng(17),
-                fast=False,
+            # The paper's counts procedure, gate by gate, on the same
+            # stream: ideal samples, then noisy samples, decoded through
+            # the final mapping.
+            rng = np.random.default_rng(17)
+            r0, rh = (
+                approximation_ratio(
+                    decode_physical_counts(
+                        sim.sample_counts(compiled.circuit, 512, rng),
+                        compiled.final_mapping,
+                        compiled.num_logical,
+                    ),
+                    problem,
+                )
+                for sim in (ideal, noisy)
             )
+            assert fast.fastpath
             # Same RNG stream, same draws: agreement is limited only by
             # floating-point summation order in the means, not sampling.
-            assert abs(fast.r0 - slow.r0) < 1e-12
-            assert abs(fast.rh - slow.rh) < 1e-12
-            assert abs(fast.arg - slow.arg) < ATOL
+            assert abs(fast.r0 - r0) < 1e-12
+            assert abs(fast.rh - rh) < 1e-12
+            assert abs(fast.arg - approximation_ratio_gap(r0, rh)) < ATOL

@@ -9,10 +9,9 @@ from repro.qaoa.evaluation import (
     approximation_ratio,
     approximation_ratio_gap,
     decode_physical_counts,
-    evaluate_arg,
 )
 from repro.qaoa.problems import MaxCutProblem
-from repro.sim import NoiseModel, NoisySimulator, StatevectorSimulator
+from repro.sim import NoiseModel, evaluate_fast
 
 
 class TestDecode:
@@ -89,33 +88,26 @@ class TestEvaluateArg:
             program, device, "ic", rng=np.random.default_rng(0)
         )
         cal = uniform_calibration(device, cnot_error=cnot_error)
-        ideal = StatevectorSimulator()
-        noisy = NoisySimulator(NoiseModel.from_calibration(cal), trajectories=16)
-        return problem, compiled, ideal, noisy
+        return compiled, NoiseModel.from_calibration(cal)
+
+    def _evaluate(self, cnot_error, shots, seed):
+        compiled, noise = self._setup(cnot_error)
+        return evaluate_fast(
+            compiled, noise=noise, shots=shots, trajectories=16,
+            rng=np.random.default_rng(seed),
+        )
 
     def test_noiseless_hardware_gives_near_zero_arg(self):
-        problem, compiled, ideal, noisy = self._setup(cnot_error=0.0)
-        result = evaluate_arg(
-            compiled, problem, ideal, noisy, shots=4000,
-            rng=np.random.default_rng(1),
-        )
+        result = self._evaluate(cnot_error=0.0, shots=4000, seed=1)
         assert abs(result.arg) < 5.0  # only shot noise remains
 
     def test_noise_produces_positive_arg(self):
-        problem, compiled, ideal, noisy = self._setup(cnot_error=0.15)
-        result = evaluate_arg(
-            compiled, problem, ideal, noisy, shots=4000,
-            rng=np.random.default_rng(2),
-        )
+        result = self._evaluate(cnot_error=0.15, shots=4000, seed=2)
         assert result.arg > 2.0
         assert result.rh < result.r0
 
     def test_result_fields(self):
-        problem, compiled, ideal, noisy = self._setup(cnot_error=0.05)
-        result = evaluate_arg(
-            compiled, problem, ideal, noisy, shots=512,
-            rng=np.random.default_rng(3),
-        )
+        result = self._evaluate(cnot_error=0.05, shots=512, seed=3)
         assert result.shots == 512
         assert 0.0 < result.r0 <= 1.0
         assert result.arg == pytest.approx(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hardware import ring_device, uniform_calibration
+from repro.hardware import ibmq_16_melbourne, ring_device, uniform_calibration
 from repro.qaoa.landscape import (
     expectation_grid,
     landscape_statistics,
@@ -95,6 +95,24 @@ class TestNoisyGrid:
         )
         exact = expectation_grid(triangle, resolution=4)
         np.testing.assert_allclose(sampled.values, exact.values, atol=0.15)
+
+    def test_parity_encoding_refused(self):
+        """Parity slots are not logical bits: decoding them through the
+        final mapping would score the wrong cuts, so the grid refuses."""
+        problem = MaxCutProblem(
+            5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
+        )
+        noiseless = NoisySimulator(NoiseModel.ideal(15), trajectories=2)
+        with pytest.raises(ValueError, match="'parity' encoding"):
+            noisy_expectation_grid(
+                problem,
+                ibmq_16_melbourne(),
+                "parity",
+                noiseless,
+                resolution=2,
+                shots=64,
+                rng=np.random.default_rng(0),
+            )
 
 
 class TestStatistics:

@@ -49,7 +49,6 @@ class TestExports:
             "melbourne_calibration",
             "StatevectorSimulator",
             "NoisySimulator",
-            "evaluate_arg",
         ):
             assert hasattr(repro, name)
 

@@ -126,20 +126,21 @@ class TestValidation:
         )
 
     def test_format_version_exported(self):
-        from repro.compiler.serialize import FORMAT_VERSION, _FORMAT_VERSION
+        from repro.compiler.serialize import FORMAT_VERSION
 
-        assert FORMAT_VERSION == _FORMAT_VERSION
         assert isinstance(FORMAT_VERSION, int)
 
-    def test_v4_artifact_still_loads(self, compiled_qaoa):
-        # v5 changed where measures sit, not the layout: a standalone v4
-        # artifact reads back as it was written.
+    def test_pre_v5_artifact_refused(self, compiled_qaoa):
+        # Before v5 a routed qubit could be measured and then SWAPped
+        # away, so its classical bits need not match its final mapping:
+        # pre-v5 documents are refused, not read.
         payload = json.loads(to_json(compiled_qaoa))
-        payload["format_version"] = 4
-        restored = from_json(json.dumps(payload))
-        assert (
-            restored.circuit.instructions == compiled_qaoa.circuit.instructions
-        )
+        for version in (2, 3, 4):
+            payload["format_version"] = version
+            with pytest.raises(
+                ValueError, match="unsupported serialisation format version"
+            ):
+                from_json(json.dumps(payload))
 
     def test_tampered_circuit_fails_validation(self, compiled_qaoa):
         payload = json.loads(to_json(compiled_qaoa))
