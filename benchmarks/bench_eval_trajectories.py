@@ -16,7 +16,8 @@ seeded :class:`repro.service.EvalJob` evaluations through
   its 12 parity qubits fit ibmq_16_melbourne) compiled by parity on
   melbourne with its paper calibration, evaluated once in sampled mode
   (4096 shots, 8 trajectories) and once in exact mode with T2 dephasing
-  (8 trajectories).  Their noisy side runs gate by gate.
+  (8 trajectories).  Their noisy side replays in the 12-slot register,
+  as the direct jobs' does in the logical one.
 
 It prints
 

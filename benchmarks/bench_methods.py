@@ -12,7 +12,8 @@ cost of a larger register (one qubit per edge) and constraint gadgets.
 
 ``python benchmarks/bench_methods.py --quick`` runs the depth-contract
 smoke only (CI gate): SWAP-network brick layers must stay <= n per QAOA
-level and both structural methods must pass their verifier plans.
+level and both structural methods must pass the fast-path verifier
+(``fastpath_plan``).
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.hardware import get_device, melbourne_calibration
 from repro.hardware.calibration import random_calibration
 from repro.qaoa import optimize_qaoa
 from repro.sim import NoiseModel
-from repro.sim.fastpath import evaluate_fast, fastpath_plan, parity_plan
+from repro.sim.fastpath import evaluate_fast, fastpath_plan
 
 METHODS = ("qaim", "ip", "ic", "vic", "swap_network", "parity")
 DEVICES = ("ibmq_16_melbourne", "ibmq_20_tokyo")
@@ -118,8 +119,8 @@ def quick_smoke(num_nodes=6, seed=3):
     """CI depth-contract gate, no noisy simulation.
 
     For both devices: the SWAP network's per-level brick layers stay
-    <= n and the circuit passes the commutation verifier; the parity
-    circuit passes its dedicated plan.  Returns the collected depths.
+    <= n, and both structural circuits pass :func:`fastpath_plan`.
+    Returns the collected depths.
     """
     rng = np.random.default_rng(seed)
     problem = make_problem("er", num_nodes, 0.6, rng)
@@ -139,8 +140,8 @@ def quick_smoke(num_nodes=6, seed=3):
         parity = compile_with_method(
             program, coupling, "parity", rng=np.random.default_rng(seed)
         )
-        pplan = parity_plan(parity)
-        assert pplan.ok, f"{device}: {pplan.reason}"
+        plan = fastpath_plan(parity)
+        assert plan.ok, f"{device}: {plan.reason}"
         depths[device] = {
             "swap_network": swapnet.circuit.depth(),
             "parity": parity.circuit.depth(),

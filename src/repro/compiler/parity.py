@@ -24,9 +24,11 @@ spin flip per component, which ZZ-only costs are invariant under).
 Angle conventions match the direct encoding exactly:
 ``cphase(-γw)`` on a program edge equals ``RZ(-γw)`` on its parity
 qubit, so :func:`parity_field_angle` mirrors
-:meth:`~repro.qaoa.problems.QAOAProgram.cphase_gates` and the
-phase-polynomial verifier (:func:`repro.sim.fastpath.parity_plan`) can
-require exact float equality.
+:meth:`~repro.qaoa.problems.QAOAProgram.cphase_gates` and the fast-path
+verifier (:func:`repro.sim.fastpath.fastpath_plan`), one GF(2)
+phase-polynomial walk for both encodings, can require exact float
+equality: a field term is the RZ on its slot's mask, a constraint the RZ
+on its cycle's mask at the end of the CNOT chain.
 """
 
 from __future__ import annotations

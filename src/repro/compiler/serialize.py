@@ -46,6 +46,31 @@ __all__ = [
 #: need not match its ``final_mapping``.
 FORMAT_VERSION = 5
 
+#: The fields :func:`from_document` reads: every document's, a QAOA
+#: document's, and those of the nested ``coupling``, ``program`` and
+#: ``pass_trace`` records.
+_FIELDS = (
+    "kind",
+    "method",
+    "coupling",
+    "qasm",
+    "initial_mapping",
+    "final_mapping",
+    "swap_count",
+    "compile_time",
+)
+_QAOA_FIELDS = (
+    "warnings",
+    "pass_trace",
+    "target_fingerprint",
+    "encoding",
+    "encoding_info",
+    "program",
+)
+_COUPLING_FIELDS = ("name", "num_qubits", "edges")
+_PROGRAM_FIELDS = ("num_qubits", "edges", "levels", "linear")
+_PASS_FIELDS = ("name", "seconds")
+
 
 def _coupling_payload(coupling: CouplingGraph) -> dict:
     return {
@@ -107,9 +132,20 @@ def from_json(text: str) -> Union[CompiledQAOA, CompiledCircuit]:
     return from_document(json.loads(text))
 
 
+def _require(document: dict, fields, where: str = "") -> None:
+    """Refuse a document that lacks one of ``fields`` with a
+    ``ValueError`` naming it (``where`` prefixes a nested field's name)."""
+    for field in fields:
+        if field not in document:
+            raise ValueError(
+                f"compiled-result payload has no {where + field!r} field"
+            )
+
+
 def from_document(payload: dict) -> Union[CompiledQAOA, CompiledCircuit]:
     """Restore a compiled result from its decoded document (the inverse of
-    :func:`to_document`)."""
+    :func:`to_document`).  A document of another format version, or one
+    that lacks a field, raises ``ValueError``."""
     if not isinstance(payload, dict):
         raise ValueError(
             f"compiled-result payload must be a JSON object, "
@@ -127,6 +163,13 @@ def from_document(payload: dict) -> Union[CompiledQAOA, CompiledCircuit]:
             f"(this build reads version {FORMAT_VERSION}); recompile the "
             f"circuit or prune the stale cache entry"
         )
+    qaoa = payload.get("kind") == "qaoa"
+    _require(payload, _FIELDS + (_QAOA_FIELDS if qaoa else ()))
+    _require(payload["coupling"], _COUPLING_FIELDS, "coupling.")
+    if qaoa:
+        _require(payload["program"], _PROGRAM_FIELDS, "program.")
+        for record in payload["pass_trace"]:
+            _require(record, _PASS_FIELDS, "pass_trace[].")
     coupling = _coupling_from(payload["coupling"])
     loaded = qasm_loads(payload["qasm"])
     # Widen to the device register; the parsed instructions are already
@@ -145,7 +188,7 @@ def from_document(payload: dict) -> Union[CompiledQAOA, CompiledCircuit]:
         compile_time=payload["compile_time"],
         method=payload["method"],
     )
-    if payload["kind"] == "qaoa":
+    if qaoa:
         prog = payload["program"]
         program = QAOAProgram(
             num_qubits=prog["num_qubits"],

@@ -18,7 +18,10 @@ lowering time the peephole pass cancels the adjacent CNOTs of the
 CPHASE/SWAP seam, i.e. the interaction is *fused* into the routing SWAP
 (5 CNOTs → 3).  Brick layers after the last program-edge meeting are
 dropped, so sparse problems finish early; the layer count per level
-never exceeds ``n``.
+never exceeds ``n``.  The emitted circuit passes
+:func:`repro.sim.fastpath.fastpath_plan`, the verifier both encodings
+share: each wire's GF(2) mask stays one logical qubit, SWAPs move it,
+and each CPHASE consumes the ZZ term of its two wires' masks.
 
 Two entry points:
 
@@ -202,9 +205,9 @@ class SwapNetworkPass:
     unconditional SWAP — up to the last layer containing a program-edge
     meeting, followed by linear-term RZs and the RX mixers at the
     logical qubits' current homes.  The circuit passes
-    :func:`repro.sim.fastpath.fastpath_plan` unchanged: every program
-    pair's CPHASE appears exactly once per level with SWAP-tracked
-    ownership.
+    :func:`repro.sim.fastpath.fastpath_plan`: every program pair's
+    CPHASE appears exactly once per level on the wires its SWAP-moved
+    masks name.
     """
 
     name = "route/swap_network"

@@ -24,38 +24,42 @@ registry keyed by content hash (mirroring
 batches over the same instance share one table.
 
 Compiled circuits are only admitted to the fast path after
-:func:`fastpath_plan` proves ARG-equivalence: the physical instruction
-stream must be the Hadamard prefix, ``p`` complete cost blocks (the
-level's CPHASE/RZ multiset, SWAP-tracked), and per-level mixers, ending
-in the recorded ``final_mapping``.  Anything else falls back to the
-gate-by-gate simulators, so the fast path can never silently change
-semantics.  Lechner's parity encoding has its own verifier,
-:func:`parity_plan`, and evolves its ``2^K`` slot register the same way.
+:func:`fastpath_plan` proves ARG-equivalence.  One phase-polynomial walk
+serves both encodings: each wire carries a GF(2) mask over the register
+(``n`` logical qubits, or Lechner's ``K`` parity slots), CNOTs XOR masks
+and SWAPs move them, and every CPHASE/RZ must consume a pending phase
+term of its level while every mixer finds its wire back on a single
+entry, ending in the recorded ``final_mapping``.  A direct QAOA circuit
+is the case whose masks never leave one qubit.  Anything else falls back
+to the gate-by-gate simulators, so the fast path can never silently
+change semantics.
 
 :func:`evaluate_fast` is the one evaluation body for both encodings: the
-encoding picks the register, its cut table, its verifier and its
-noiseless kernel, and the sampling, the gate-level fallback, the readout
-channel, the noisy side and ARG are written once.
+encoding describes the register, its cut table and its noiseless kernel
+(:func:`_register`), and the verifier, the sampling, the gate-level
+fallback, the readout channel, the noisy side and ARG are written once.
 
 For noisy evaluation, :func:`logical_trajectory` runs all of an
-evaluation's trajectories in the logical frame while consuming
+evaluation's trajectories in the register frame while consuming
 **exactly** the random draws of as many consecutive calls to
 :meth:`repro.sim.noise.NoisySimulator.run_trajectory` — same dephasing
 draws, same Pauli injections at the same points — so a shared generator
 produces the identical noise realisations on both paths.  No draw
 depends on the state, so one walk of the circuit builds a schedule, the
 draws come first, and one stack of rows evolves a shared noiseless row
-that each trajectory leaves only at its first error on a logical qubit.
-Pauli noise landing on an unmapped physical qubit cannot reach any
-decoded logical bit (cost gates never couple mapped and unmapped qubits;
-SWAPs only relocate), so it degrades to a classical "dirt bit" tracked
-per physical qubit.
+that each trajectory leaves only at its first error on a mapped wire.
+The walk keeps each mapped wire's GF(2) frame, so a Pauli there is a
+sign vector or an index permutation of the register.  Pauli noise
+landing on an unmapped physical qubit cannot reach any decoded bit (no
+gate couples mapped and unmapped qubits; SWAPs only relocate), so it
+degrades to a classical "dirt bit" tracked per physical qubit.
 
-Sampled evaluation draws in the logical frame too: the ``2^n`` support,
-ordered by physical index, is sampled exactly as ``Generator.choice``
-samples the dense physical register, and readout flips land on logical
-bits, so the numbers equal the gate-level path's without ever building a
-physical-register distribution beyond its normalising sum.
+Sampled evaluation draws in the register frame too: the register's
+support, ordered by physical index, is sampled exactly as
+``Generator.choice`` samples the dense physical register, and readout
+flips land on register bits, so the numbers equal the gate-level path's
+without ever building a physical-register distribution beyond its
+normalising sum.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import hashlib
 import json
 import time
 from collections import Counter
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +89,6 @@ __all__ = [
     "expectation_batch",
     "fastpath_plan",
     "logical_trajectory",
-    "parity_plan",
     "qaoa_statevector",
     "qaoa_statevector_batch",
 ]
@@ -95,8 +98,6 @@ _MAX_DIAGONAL_QUBITS = 26
 
 _FINGERPRINT_VERSION = 1
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
@@ -108,6 +109,30 @@ def _digest(payload: dict) -> str:
 # ----------------------------------------------------------------------
 # the cost diagonal
 # ----------------------------------------------------------------------
+class _SignTable(dict):
+    """Z-parity sign vectors over a ``2^size`` register, keyed by mask.
+
+    ``table[mask][z] = (-1) ** popcount(z & mask)``: the eigenvalues of
+    the Pauli-Z product over the entries in ``mask``, which is the
+    elementwise form of a Z, ZZ or multi-body Z rotation.  Each vector is
+    computed on first use and served read-only.
+    """
+
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, mask: int) -> np.ndarray:
+        indices = np.arange(1 << self.size, dtype=np.int64)
+        parity = np.zeros_like(indices)
+        for q in _entries(mask):
+            parity ^= indices >> q
+        vector = 1.0 - 2.0 * (parity & 1)
+        vector.flags.writeable = False
+        self[mask] = vector
+        return vector
+
+
 class CostDiagonal:
     """Per-problem diagonal tables, computed lazily and served read-only.
 
@@ -127,8 +152,9 @@ class CostDiagonal:
       per-unit-gamma phase of one cost block *including global phase*, so
       fast-path statevectors match gate-by-gate evolution bit-for-bit up
       to float rounding;
-    * :meth:`sign` / :meth:`szz` — ``s_q(z)`` and ``s_a s_b`` sign
-      vectors, the elementwise form of Z and ZZ rotations.
+    * :attr:`signs` — a mask-keyed sign table: ``signs[1 << q]``
+      is ``s_q(z)`` and ``signs[1 << a | 1 << b]`` is ``s_a s_b``, the
+      elementwise form of Z and ZZ rotations.
     """
 
     def __init__(
@@ -173,8 +199,7 @@ class CostDiagonal:
         )
         self._cut: Optional[np.ndarray] = None
         self._phase: Optional[np.ndarray] = None
-        self._signs: Dict[int, np.ndarray] = {}
-        self._szz: Dict[Tuple[int, int], np.ndarray] = {}
+        self.signs = _SignTable(num_qubits)
         self._phase_groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._phase_groups_known = False
 
@@ -205,26 +230,6 @@ class CostDiagonal:
         """The exact maximum cut (the ``r`` denominator)."""
         return float(self.cut.max())
 
-    def sign(self, q: int) -> np.ndarray:
-        """``s_q(z) = 1 - 2 bit_q(z)`` — the Z eigenvalue sign vector."""
-        cached = self._signs.get(q)
-        if cached is None:
-            indices = np.arange(self.dim, dtype=np.int64)
-            cached = 1.0 - 2.0 * ((indices >> q) & 1)
-            cached.flags.writeable = False
-            self._signs[q] = cached
-        return cached
-
-    def szz(self, a: int, b: int) -> np.ndarray:
-        """``s_a(z) * s_b(z)`` — the ZZ eigenvalue sign vector."""
-        key = (min(a, b), max(a, b))
-        cached = self._szz.get(key)
-        if cached is None:
-            cached = self.sign(key[0]) * self.sign(key[1])
-            cached.flags.writeable = False
-            self._szz[key] = cached
-        return cached
-
     @property
     def phase(self) -> np.ndarray:
         """``D(z)`` such that one cost block is exactly
@@ -232,7 +237,7 @@ class CostDiagonal:
         if self._phase is None:
             values = self.cut - self.total_weight / 2.0
             for q, h in self.linear:
-                values = values + h * self.sign(q)
+                values = values + h * self.signs[1 << q]
             values.flags.writeable = False
             self._phase = values
         return self._phase
@@ -561,6 +566,125 @@ def expectation_batch(
 
 
 # ----------------------------------------------------------------------
+# the register a circuit's measured bits address
+# ----------------------------------------------------------------------
+class _Register(NamedTuple):
+    """What a circuit's encoding decides (see :func:`_register`)."""
+
+    size: int
+    entry: str
+    terms: Callable[[int], Counter]
+    signs: Callable[[], _SignTable]
+    cut: Callable[[], np.ndarray]
+    kernel: Callable[[], np.ndarray]
+
+
+def _register(compiled, diag: Optional[CostDiagonal]) -> _Register:
+    """The register ``compiled``'s measured bits address: the one reader
+    of ``compiled.encoding``.
+
+    ``size`` counts its entries (``n`` logical qubits, or ``K`` parity
+    slots), and ``entry`` names one in refusal reasons.  ``terms(level)``
+    is the level's multiset of phase terms ``(mask, angle)``, each the
+    rotation ``exp(-i angle/2 Z^mask)`` over the entries in ``mask``: a
+    direct CPHASE on ``a, b`` is the term of ``1 << a | 1 << b`` and an
+    RZ on ``q`` that of ``1 << q``; a parity field term is its slot's and
+    a constraint term its cycle's.  The tables are built when called:
+    ``signs()`` is the register's sign table, ``cut()`` the cut value of
+    each basis index and ``kernel()`` the exact noiseless state.  The
+    direct tables live on the interned diagonal ``diag``, so evaluations
+    of one problem share them; parity slot bits decode to a logical
+    assignment by XOR along spanning-tree paths before the cut table is
+    read, so ``r0``/``rh`` compare directly with direct evaluations.  A
+    caller that reads only ``size``, ``entry`` and ``terms`` may pass
+    ``None`` for ``diag``.
+    """
+    program = compiled.program
+    encoding = getattr(compiled, "encoding", "direct")
+    if encoding == "direct":
+
+        def terms(level):
+            out = Counter(
+                (1 << a | 1 << b, angle)
+                for a, b, angle in program.cphase_gates(level)
+            )
+            out.update((1 << q, angle) for q, angle in program.rz_gates(level))
+            return out
+
+        return _Register(
+            program.num_qubits,
+            "logical qubit",
+            terms,
+            lambda: diag.signs,
+            lambda: diag.cut,
+            lambda: qaoa_statevector(program, diag),
+        )
+    if encoding != "parity":
+        raise ValueError(f"unknown circuit encoding {encoding!r}")
+    from ..compiler.parity import (
+        ParityLayout,
+        parity_constraint_angle,
+        parity_decode_indices,
+        parity_field_angle,
+    )
+
+    layout = ParityLayout.from_program(program)
+    info = getattr(compiled, "encoding_info", None) or {}
+    strength = float(info.get("constraint_strength", 2.0))
+    size = layout.num_slots
+    cycles = [sum(1 << s for s in cycle) for cycle in layout.constraints]
+    signs = _SignTable(size)
+
+    def terms(level):
+        gamma = program.levels[level].gamma
+        out = Counter(
+            (1 << s, parity_field_angle(gamma, w))
+            for s, w in enumerate(layout.weights)
+        )
+        angle = parity_constraint_angle(gamma, strength)
+        out.update((mask, angle) for mask in cycles)
+        return out
+
+    return _Register(
+        size,
+        "parity slot",
+        terms,
+        lambda: signs,
+        lambda: diag.cut[
+            parity_decode_indices(np.arange(1 << size, dtype=np.int64), layout)
+        ],
+        lambda: _evolve_levels(program, layout.phase_vector(strength), size),
+    )
+
+
+def _entries(mask: int) -> list:
+    """The register entries in ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _single(mask: int) -> Optional[int]:
+    """The entry of a single-entry ``mask``, else ``None``."""
+    if mask & (mask - 1):
+        return None
+    return mask.bit_length() - 1
+
+
+def _swap(tables, pa: int, pb: int) -> None:
+    """Move what each of ``tables`` holds for wires ``pa`` and ``pb``."""
+    for table in tables:
+        a, b = table.pop(pa, None), table.pop(pb, None)
+        if b is not None:
+            table[pa] = b
+        if a is not None:
+            table[pb] = a
+
+
+# ----------------------------------------------------------------------
 # ARG-equivalence verification of compiled circuits
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
@@ -578,412 +702,188 @@ class FastPathPlan:
 
 
 def fastpath_plan(compiled) -> FastPathPlan:
-    """Prove a compiled circuit ARG-equivalent to its logical program.
+    """Prove a compiled circuit of either encoding equivalent to its
+    program.
 
-    Walks the physical instruction stream tracking the SWAP-updated
-    physical→logical ownership and, per logical qubit, its progress
-    through the canonical sequence ``H → level-0 diagonals → RX →
-    level-1 diagonals → RX → ... → measure``.  Physical schedulers
-    interleave gates on disjoint qubits freely (they commute), so the
-    only ordering the proof needs is *per qubit*: a CPHASE requires both
-    endpoints at the same level with that level's gate still pending, a
-    mixer RX requires every pending diagonal touching its qubit consumed.
-    Any reordering the walk accepts therefore differs from the canonical
-    level sequence only by transpositions of commuting gates — disjoint
-    supports, or same-level diagonals — hence is unitary-equal.  The walk
-    must end in the recorded ``final_mapping``, and the last measure that
-    writes ``c[final_mapping[q]]`` must have read logical qubit ``q`` (a
-    measure reads whichever qubit owns its wire at that point), so every
-    decoded bit is its own qubit's outcome.  Any other structure refuses
+    A phase-polynomial walk: each wire carries a GF(2) mask over the
+    register's entries (``n`` logical qubits, or ``K`` parity slots; see
+    :func:`_register`), the entries whose parity is the wire's bit.  H on
+    the wire holding entry ``e`` starts mask ``1 << e``, CNOT XORs the
+    control's mask into the target's, and SWAP moves masks.  An RZ is
+    then the phase term of its wire's mask and a CPHASE that of the XOR
+    of its two wires' masks; each must consume a pending term of the
+    encoding's per-level multiset, with every entry of the mask at that
+    level.  A mixer RX needs a single-entry mask that no other wire
+    shares, where an X or Z on the wire is one on the entry, with the
+    entry's terms of the level drained.
+
+    Physical schedulers interleave gates on disjoint qubits freely (they
+    commute), so the only ordering the proof needs is per entry: any
+    accepted order differs from the canonical ``H → level-0 terms → RX →
+    level-1 terms → ... → measure`` only by transpositions of commuting
+    operations, hence is unitary-equal.  The walk must end with
+    single-entry masks equal to the recorded ``final_mapping``, and the
+    last measure that writes ``c[final_mapping[e]]`` must have read entry
+    ``e`` (a measure reads whatever its wire holds at that point), so
+    every decoded bit is its own entry's outcome.  Anything else refuses
     the fast path and the caller falls back to gate-by-gate simulation.
     """
-    encoding = getattr(compiled, "encoding", "direct")
-    if encoding != "direct":
-        return FastPathPlan(
-            False, f"encoding {encoding!r} has its own verifier"
-        )
+    try:
+        register = _register(compiled, None)
+    except ValueError as exc:
+        return FastPathPlan(False, str(exc))
     program = compiled.program
-    n = program.num_qubits
-    p_levels = program.p
+    size, label, p_levels = register.size, register.entry, program.p
 
-    initial = {int(q): int(p) for q, p in compiled.initial_mapping.items()}
-    if sorted(initial) != list(range(n)):
-        return FastPathPlan(False, "initial mapping must cover logical qubits")
-    if len(set(initial.values())) != n:
-        return FastPathPlan(False, "initial mapping is not injective")
-    owner: Dict[int, int] = {p: q for q, p in initial.items()}
-
-    h_seen: set = set()
-    # mixer RXs consumed so far per logical qubit == its current level
-    level_of = [0] * n
-    # per level: pending diagonal-gate multisets and per-qubit touch counts
-    pending_cphase = []
-    pending_rz = []
-    touches = []  # touches[lv][q] = pending diagonal gates involving q
-    for lv in range(p_levels):
-        cp = Counter(
-            ((min(a, b), max(a, b)), angle)
-            for a, b, angle in program.cphase_gates(lv)
+    initial = {int(e): int(p) for e, p in compiled.initial_mapping.items()}
+    if sorted(initial) != list(range(size)):
+        return FastPathPlan(
+            False, f"initial mapping must cover every {label}"
         )
-        rz = Counter(program.rz_gates(lv))
-        touch = [0] * n
-        for (a, b), count in Counter(k[0] for k in cp.elements()).items():
-            touch[a] += count
-            touch[b] += count
-        for q, count in Counter(k[0] for k in rz.elements()).items():
-            touch[q] += count
-        pending_cphase.append(cp)
-        pending_rz.append(rz)
+    if len(set(initial.values())) != size:
+        return FastPathPlan(False, "initial mapping is not injective")
+    # wire -> the entry awaiting its Hadamard there, and wire -> its mask
+    # once that Hadamard ran
+    fresh: Dict[int, int] = {p: e for e, p in initial.items()}
+    masks: Dict[int, int] = {}
+    # per entry: the wires whose mask holds it, and the mixer RXs
+    # consumed so far == its current level
+    carriers = [0] * size
+    level_of = [0] * size
+    # per level: pending (mask, angle) multisets and per-entry touch counts
+    pending = [register.terms(lv) for lv in range(p_levels)]
+    touches = []
+    for terms in pending:
+        touch = [0] * size
+        for (mask, _), count in terms.items():
+            for e in _entries(mask):
+                touch[e] += count
         touches.append(touch)
-    # c[p] <- the logical qubit the last measure of wire p read (None for
-    # an unmapped wire)
+    # c[p] <- the entry the last measure of wire p read (None for an
+    # unmapped wire)
     reads: Dict[int, Optional[int]] = {}
 
     for inst in compiled.circuit:
-        name = inst.name
+        name, wires = inst.name, inst.qubits
         if name == "barrier":
             continue
-        if name == "measure":
-            phys = inst.qubits[0]
-            q = owner.get(phys)
-            if q is not None and level_of[q] != p_levels:
-                return FastPathPlan(
-                    False, f"logical qubit {q} measured before its last mixer"
-                )
-            reads[phys] = q
-            continue
         if name == "swap":
-            pa, pb = inst.qubits
-            oa, ob = owner.pop(pa, None), owner.pop(pb, None)
-            if ob is not None:
-                owner[pa] = ob
-            if oa is not None:
-                owner[pb] = oa
+            _swap((fresh, masks), *wires)
             continue
         if name == "h":
-            q = owner.get(inst.qubits[0])
-            if q is None:
-                return FastPathPlan(False, "H on an unmapped physical qubit")
-            if q in h_seen:
+            if wires[0] in masks:
                 return FastPathPlan(False, "duplicate Hadamard")
-            h_seen.add(q)
+            e = fresh.pop(wires[0], None)
+            if e is None:
+                return FastPathPlan(False, "H on an unmapped physical qubit")
+            masks[wires[0]] = 1 << e
+            carriers[e] = 1
             continue
-        if name == "cphase":
-            qa = owner.get(inst.qubits[0])
-            qb = owner.get(inst.qubits[1])
-            if qa is None or qb is None:
-                return FastPathPlan(False, "CPHASE on an unmapped qubit")
-            if qa not in h_seen or qb not in h_seen:
-                return FastPathPlan(False, "CPHASE before Hadamard")
-            lv = level_of[qa]
-            if lv != level_of[qb]:
+        if name == "measure":
+            mask = masks.get(wires[0])
+            e = fresh.get(wires[0]) if mask is None else _single(mask)
+            if mask is not None and e is None:
                 return FastPathPlan(
-                    False,
-                    f"CPHASE across mixer levels {lv}/{level_of[qb]}",
+                    False, "measure of a wire carrying several entries"
                 )
-            if lv >= p_levels:
-                return FastPathPlan(False, "CPHASE after the final mixer")
-            key = ((min(qa, qb), max(qa, qb)), inst.params[0])
-            if pending_cphase[lv][key] <= 0:
+            if e is not None and level_of[e] != p_levels:
                 return FastPathPlan(
-                    False, f"unexpected CPHASE {key} in level {lv}"
+                    False, f"{label} {e} measured before its last mixer"
                 )
-            pending_cphase[lv][key] -= 1
-            touches[lv][qa] -= 1
-            touches[lv][qb] -= 1
+            reads[wires[0]] = e
             continue
-        if name == "rz":
-            q = owner.get(inst.qubits[0])
-            if q is None:
-                return FastPathPlan(False, "RZ on an unmapped qubit")
-            if q not in h_seen:
-                return FastPathPlan(False, "RZ before Hadamard")
-            lv = level_of[q]
-            if lv >= p_levels:
-                return FastPathPlan(False, "RZ after the final mixer")
-            key = (q, inst.params[0])
-            if pending_rz[lv][key] <= 0:
-                return FastPathPlan(
-                    False, f"unexpected RZ {key} in level {lv}"
-                )
-            pending_rz[lv][key] -= 1
-            touches[lv][q] -= 1
+        if name not in ("cnot", "cphase", "rz", "rx"):
+            return FastPathPlan(
+                False, f"gate {name!r} outside the QAOA fast-path gate set"
+            )
+        held = list(map(masks.get, wires))
+        if None in held:
+            return FastPathPlan(
+                False, f"{name.upper()} before Hadamard or on an unmapped qubit"
+            )
+        if name == "cnot":
+            control, target = held
+            for e in _entries(control):
+                carriers[e] += -1 if (target >> e) & 1 else 1
+            masks[wires[1]] = target ^ control
             continue
         if name == "rx":
-            q = owner.get(inst.qubits[0])
-            if q is None:
-                return FastPathPlan(False, "RX on an unmapped qubit")
-            if q not in h_seen:
-                return FastPathPlan(False, "RX before Hadamard")
-            lv = level_of[q]
+            e = _single(held[0])
+            if e is None:
+                return FastPathPlan(
+                    False, "mixer on a wire carrying several entries"
+                )
+            if carriers[e] > 1:
+                return FastPathPlan(
+                    False, f"mixer on {label} {e} while another wire carries it"
+                )
+            lv = level_of[e]
             if lv >= p_levels:
                 return FastPathPlan(False, "RX after the final mixer")
             if inst.params[0] != program.mixer_angle(lv):
                 return FastPathPlan(False, f"mixer angle mismatch in level {lv}")
-            if touches[lv][q] > 0:
+            if touches[lv][e] > 0:
                 return FastPathPlan(
                     False,
-                    f"mixer on logical qubit {q} before its level-{lv} "
-                    f"cost gates completed",
+                    f"mixer on {label} {e} before its level-{lv} phase terms "
+                    f"completed",
                 )
-            level_of[q] = lv + 1
+            level_of[e] = lv + 1
             continue
-        return FastPathPlan(
-            False, f"gate {name!r} outside the QAOA fast-path gate set"
-        )
+        # an RZ's term is its wire's mask, a CPHASE's the XOR of two
+        mask = held[0] ^ held[1] if name == "cphase" else held[0]
+        entries = _entries(mask)
+        lv = level_of[entries[0]]
+        if lv >= p_levels:
+            return FastPathPlan(False, f"{name.upper()} after the final mixer")
+        key = (mask, inst.params[0])
+        if pending[lv][key] <= 0:
+            return FastPathPlan(
+                False,
+                f"unexpected {name.upper()} term (mask {mask:#x}, angle "
+                f"{inst.params[0]!r}) in level {lv}",
+            )
+        pending[lv][key] -= 1
+        touch = touches[lv]
+        for e in entries:
+            if level_of[e] != lv:
+                return FastPathPlan(
+                    False, f"{name.upper()} term spans mixer levels"
+                )
+            touch[e] -= 1
 
-    if len(h_seen) != n:
+    if fresh:
         return FastPathPlan(False, "incomplete Hadamard prefix")
     if any(lv != p_levels for lv in level_of):
         return FastPathPlan(False, "circuit ended before the final mixer")
-    if any(
-        v > 0
-        for lv in range(p_levels)
-        for counter in (pending_cphase[lv], pending_rz[lv])
-        for v in counter.values()
-    ):
-        return FastPathPlan(False, "cost gates missing from the circuit")
-    final = {q: p for p, q in owner.items()}
-    recorded = {int(q): int(p) for q, p in compiled.final_mapping.items()}
+    if any(v > 0 for terms in pending for v in terms.values()):
+        return FastPathPlan(False, "phase terms missing from the circuit")
+    # a wire left on several entries ends under the key None
+    final = {_single(mask): phys for phys, mask in masks.items()}
+    recorded = {int(e): int(p) for e, p in compiled.final_mapping.items()}
     if final != recorded:
         return FastPathPlan(False, "final mapping mismatch")
-    return _measure_binding(final, reads, "logical qubit")
-
-
-def _measure_binding(
-    final: Dict[int, int], reads: Dict[int, Optional[int]], label: str
-) -> FastPathPlan:
-    """Accept only when each register entry's final home was last
-    measured while it held that entry (``label`` names the entries in
-    the refusal, e.g. ``"logical qubit"``)."""
-    unmeasured = [q for q in sorted(final) if final[q] not in reads]
+    unmeasured = [e for e in sorted(final) if final[e] not in reads]
     if unmeasured:
         return FastPathPlan(False, f"{label}(s) {unmeasured} never measured")
-    for q in sorted(final):
-        held = reads[final[q]]
-        if held != q:
+    for e in sorted(final):
+        held = reads[final[e]]
+        if held != e:
             source = "an unmapped wire" if held is None else f"{label} {held}"
             return FastPathPlan(
                 False,
-                f"measure bound to the wrong qubit: c[{final[q]}] reads "
-                f"{source}, not {label} {q}",
+                f"measure bound to the wrong qubit: c[{final[e]}] reads "
+                f"{source}, not {label} {e}",
             )
     return FastPathPlan(True, None)
 
 
-def parity_plan(compiled) -> FastPathPlan:
-    """Prove a parity-encoded compiled circuit equivalent to its program.
-
-    The parity circuit is CNOT-conjugated diagonal rotations plus local
-    mixers, so the proof is a phase-polynomial walk: each physical wire
-    carries a GF(2) mask over parity slots (``H`` on slot ``s``'s home
-    initialises mask ``1 << s``; ``CNOT(a, b)`` XORs ``mask[a]`` into
-    ``mask[b]``; SWAPs relocate masks).  Every ``RZ`` must consume a
-    pending phase term of its wire's exact current mask — the per-level
-    multiset of field terms ``(1 << s, -gamma * w_s)`` and constraint
-    terms ``(XOR of cycle slots, -gamma * Omega)`` derived from
-    :class:`~repro.compiler.parity.ParityLayout` — and every mixer
-    ``RX`` requires its wire restored to a singleton mask no other wire
-    shares, with that slot's pending terms drained.  The walk must end
-    with all masks singleton, matching the recorded ``final_mapping``,
-    and every slot's home last measured while it carried that slot.  Any
-    accepted circuit therefore
-    implements exactly ``prod_levels [mixer . exp(-i gamma D(y))]`` over
-    the parity basis, which :func:`evaluate_fast` evolves directly.
-    """
-    from ..compiler.parity import (
-        ParityLayout,
-        parity_constraint_angle,
-        parity_field_angle,
-    )
-
-    program = compiled.program
-    try:
-        layout = ParityLayout.from_program(program)
-    except ValueError as exc:
-        return FastPathPlan(False, str(exc))
-    info = getattr(compiled, "encoding_info", None) or {}
-    strength = float(info.get("constraint_strength", 2.0))
-    K = layout.num_slots
-    p_levels = program.p
-
-    initial = {int(s): int(p) for s, p in compiled.initial_mapping.items()}
-    if sorted(initial) != list(range(K)):
-        return FastPathPlan(False, "initial mapping must cover parity slots")
-    if len(set(initial.values())) != K:
-        return FastPathPlan(False, "initial mapping is not injective")
-    owner: Dict[int, int] = {p: s for s, p in initial.items()}
-    masks: Dict[int, int] = {}
-
-    h_seen: set = set()
-    level_of = [0] * K
-    # per level: pending (mask, angle) multisets and per-slot touch counts
-    pending = []
-    touches = []
-    for lv in range(p_levels):
-        gamma = program.levels[lv].gamma
-        terms: Counter = Counter()
-        for s, w in enumerate(layout.weights):
-            terms[(1 << s, parity_field_angle(gamma, w))] += 1
-        angle = parity_constraint_angle(gamma, strength)
-        for cycle in layout.constraints:
-            mask = 0
-            for s in cycle:
-                mask ^= 1 << s
-            terms[(mask, angle)] += 1
-        touch = [0] * K
-        for (mask, _), count in terms.items():
-            for s in range(K):
-                if (mask >> s) & 1:
-                    touch[s] += count
-        pending.append(terms)
-        touches.append(touch)
-    # c[p] <- the parity slot the last measure of wire p read (None for
-    # an unmapped wire)
-    reads: Dict[int, Optional[int]] = {}
-
-    for inst in compiled.circuit:
-        name = inst.name
-        if name == "barrier":
-            continue
-        if name == "measure":
-            phys = inst.qubits[0]
-            mask = masks.get(phys)
-            s = None
-            if mask is not None:
-                if mask == 0 or mask & (mask - 1):
-                    return FastPathPlan(
-                        False, "measurement of an unrestored parity line"
-                    )
-                s = mask.bit_length() - 1
-                if level_of[s] != p_levels:
-                    return FastPathPlan(
-                        False,
-                        f"parity slot {s} measured before its last mixer",
-                    )
-            reads[phys] = s
-            continue
-        if name == "swap":
-            pa, pb = inst.qubits
-            oa, ob = owner.pop(pa, None), owner.pop(pb, None)
-            ma, mb = masks.pop(pa, None), masks.pop(pb, None)
-            if ob is not None:
-                owner[pa] = ob
-            if oa is not None:
-                owner[pb] = oa
-            if mb is not None:
-                masks[pa] = mb
-            if ma is not None:
-                masks[pb] = ma
-            continue
-        if name == "h":
-            s = owner.get(inst.qubits[0])
-            if s is None:
-                return FastPathPlan(False, "H on an unmapped physical qubit")
-            if s in h_seen:
-                return FastPathPlan(False, "duplicate Hadamard")
-            h_seen.add(s)
-            masks[inst.qubits[0]] = 1 << s
-            continue
-        if name == "cnot":
-            ma = masks.get(inst.qubits[0])
-            mb = masks.get(inst.qubits[1])
-            if ma is None or mb is None:
-                return FastPathPlan(
-                    False, "CNOT before Hadamard or on an unmapped qubit"
-                )
-            masks[inst.qubits[1]] = mb ^ ma
-            continue
-        if name == "rz":
-            mask = masks.get(inst.qubits[0])
-            if mask is None:
-                return FastPathPlan(
-                    False, "RZ before Hadamard or on an unmapped qubit"
-                )
-            if mask == 0:
-                return FastPathPlan(False, "RZ on a cancelled parity line")
-            slots = [s for s in range(K) if (mask >> s) & 1]
-            lv = level_of[slots[0]]
-            if any(level_of[s] != lv for s in slots):
-                return FastPathPlan(False, "RZ mask spans mixer levels")
-            if lv >= p_levels:
-                return FastPathPlan(False, "RZ after the final mixer")
-            key = (mask, inst.params[0])
-            if pending[lv][key] <= 0:
-                return FastPathPlan(
-                    False,
-                    f"unexpected phase term (mask {mask:#x}, "
-                    f"angle {inst.params[0]!r}) in level {lv}",
-                )
-            pending[lv][key] -= 1
-            for s in slots:
-                touches[lv][s] -= 1
-            continue
-        if name == "rx":
-            phys = inst.qubits[0]
-            mask = masks.get(phys)
-            if mask is None:
-                return FastPathPlan(
-                    False, "RX before Hadamard or on an unmapped qubit"
-                )
-            if mask == 0 or mask & (mask - 1):
-                return FastPathPlan(False, "mixer on an unrestored parity line")
-            s = mask.bit_length() - 1
-            if any(
-                q != phys and (m >> s) & 1 for q, m in masks.items()
-            ):
-                return FastPathPlan(
-                    False, f"mixer on slot {s} while another wire carries it"
-                )
-            lv = level_of[s]
-            if lv >= p_levels:
-                return FastPathPlan(False, "RX after the final mixer")
-            if inst.params[0] != program.mixer_angle(lv):
-                return FastPathPlan(
-                    False, f"mixer angle mismatch in level {lv}"
-                )
-            if touches[lv][s] > 0:
-                return FastPathPlan(
-                    False,
-                    f"mixer on parity slot {s} before its level-{lv} "
-                    f"phase terms completed",
-                )
-            level_of[s] = lv + 1
-            continue
-        return FastPathPlan(
-            False, f"gate {name!r} outside the parity fast-path gate set"
-        )
-
-    if len(h_seen) != K:
-        return FastPathPlan(False, "incomplete Hadamard prefix")
-    if any(lv != p_levels for lv in level_of):
-        return FastPathPlan(False, "circuit ended before the final mixer")
-    if any(
-        v > 0 for lv in range(p_levels) for v in pending[lv].values()
-    ):
-        return FastPathPlan(False, "phase terms missing from the circuit")
-    final: Dict[int, int] = {}
-    for phys, mask in masks.items():
-        if mask == 0 or mask & (mask - 1):
-            return FastPathPlan(
-                False, "parity line not restored to a single slot"
-            )
-        s = mask.bit_length() - 1
-        if s in final:
-            return FastPathPlan(False, f"slot {s} carried by two wires")
-        final[s] = phys
-    recorded = {int(s): int(p) for s, p in compiled.final_mapping.items()}
-    if final != recorded:
-        return FastPathPlan(False, "final mapping mismatch")
-    return _measure_binding(final, reads, "parity slot")
-
-
 # ----------------------------------------------------------------------
-# noisy logical-frame trajectories
+# noisy register-frame trajectories
 # ----------------------------------------------------------------------
 #: Most amplitudes :func:`logical_trajectory`'s stack holds, rows x 2^n
 #: (16 MiB of complex128): the noiseless row plus one row per trajectory
-#: with an error on a logical qubit.  Longer runs take their trajectories
+#: with an error on a mapped wire.  Longer runs take their trajectories
 #: in order, in chunks, each re-evolving its own noiseless row; a chunk
 #: always holds at least one trajectory.  A butterfly briefly allocates
 #: twice the live rows again in temporaries.
@@ -996,19 +896,26 @@ _DIAG, _MIX = 0, 1
 _T2, _ONE, _TWO = 0, 1, 2
 
 
-def _trajectory_schedule(compiled, noise: NoiseModel, diag: CostDiagonal, durations):
+def _trajectory_schedule(compiled, noise: NoiseModel, signs: _SignTable, durations):
     """One walk of ``compiled.circuit``: what every trajectory replays.
 
+    Each mapped wire carries a frame ``(z, x)`` over the register, both
+    masks of entries: ``z`` holds the entries whose parity is the wire's
+    bit (:func:`fastpath_plan`'s mask) and ``x`` the entries an X on the
+    wire flips.  ``CNOT(c, t)`` sets ``z_t ^= z_c`` and ``x_c ^= x_t``,
+    and SWAPs move frames: bookkeeping, done here once.
+
     Returns ``(ops, checks)``.  ``ops`` holds ``(_DIAG, coeff, vector)``
-    for each CPHASE/RZ (the phase ``coeff * vector`` to accumulate) and
-    ``(_MIX, matrix, q)`` for each H/RX on logical qubit ``q``; SWAPs are
-    ownership bookkeeping, done here once.  ``checks`` holds
+    for each CPHASE/RZ (the phase ``coeff * vector`` to accumulate, over
+    the sign vector of its wires' XORed ``z``) and ``(_MIX, matrix, e)``
+    for each H/RX, on the single entry ``e`` of its wire's ``z``, which a
+    verified circuit guarantees is its ``x`` too.  ``checks`` holds
     ``(position, p, kind, a, b)`` for every random draw of
     :meth:`~repro.sim.noise.NoisySimulator.run_trajectory`, in its order:
     a draw below ``p`` is an error, applied just before ``ops[position]``.
-    Its targets ``a`` (and ``b`` for ``_TWO``) are the logical qubit that
-    owns the wire at that point, or ``~w`` for an unmapped wire, ``w``
-    being the wire its dirt bit ends on.
+    Its targets ``a`` (and ``b`` for ``_TWO``) are the frame ``(z, x)``
+    of a mapped wire at that point, or, for an unmapped wire, the wire its
+    dirt bit ends on.
     """
     circuit = compiled.circuit
     n_phys = circuit.num_qubits
@@ -1019,18 +926,19 @@ def _trajectory_schedule(compiled, noise: NoiseModel, diag: CostDiagonal, durati
 
         durations = DurationModel()
 
-    owner: Dict[int, int] = {
-        int(p): int(q) for q, p in compiled.initial_mapping.items()
+    frame = {
+        int(p): (1 << int(e), 1 << int(e))
+        for e, p in compiled.initial_mapping.items()
     }
-    # An unmapped wire's content travels with SWAPs like a qubit's; name
+    # An unmapped wire's content travels with SWAPs like an entry's; name
     # it by the wire it starts on until the walk shows where it ends.
-    slot_of = {p: p for p in range(n_phys) if p not in owner}
+    dirt_of = {p: p for p in range(n_phys) if p not in frame}
     ops: list = []
     checks: list = []
 
-    def target(phys: int) -> int:
-        q = owner.get(phys)
-        return q if q is not None else ~slot_of[phys]
+    def target(phys: int):
+        held = frame.get(phys)
+        return held if held is not None else dirt_of[phys]
 
     clocks = [0.0] * n_phys if track_time else None
 
@@ -1053,42 +961,33 @@ def _trajectory_schedule(compiled, noise: NoiseModel, diag: CostDiagonal, durati
             duration = durations.duration(inst)
             for q in inst.qubits:
                 clocks[q] = start + duration
-        name = inst.name
+        name, wires = inst.name, inst.qubits
         if name == "swap":
-            pa, pb = inst.qubits
-            oa, ob = owner.pop(pa, None), owner.pop(pb, None)
-            sa, sb = slot_of.pop(pa, None), slot_of.pop(pb, None)
-            if ob is not None:
-                owner[pa] = ob
-            else:
-                slot_of[pa] = sb
-            if oa is not None:
-                owner[pb] = oa
-            else:
-                slot_of[pb] = sa
+            _swap((frame, dirt_of), *wires)
+        elif name == "cnot":
+            (zc, xc), (zt, xt) = frame[wires[0]], frame[wires[1]]
+            frame[wires[0]] = (zc, xc ^ xt)
+            frame[wires[1]] = (zt ^ zc, xt)
         elif name == "cphase":
-            qa, qb = owner[inst.qubits[0]], owner[inst.qubits[1]]
-            ops.append((_DIAG, 0.5 * inst.params[0], diag.szz(qa, qb)))
+            mask = frame[wires[0]][0] ^ frame[wires[1]][0]
+            ops.append((_DIAG, 0.5 * inst.params[0], signs[mask]))
         elif name == "rz":
-            q = owner[inst.qubits[0]]
-            ops.append((_DIAG, 0.5 * inst.params[0], diag.sign(q)))
-        elif name == "h":
-            ops.append((_MIX, _HADAMARD, owner[inst.qubits[0]]))
-        elif name == "rx":
-            q = owner[inst.qubits[0]]
-            ops.append((_MIX, _rx_matrix(inst.params[0]), q))
+            ops.append((_DIAG, 0.5 * inst.params[0], signs[frame[wires[0]][0]]))
+        elif name in ("h", "rx"):
+            matrix = _HADAMARD if name == "h" else _rx_matrix(inst.params[0])
+            ops.append((_MIX, matrix, frame[wires[0]][0].bit_length() - 1))
         else:
             raise ValueError(
                 f"gate {name!r} outside the fast-path gate set; run "
                 f"fastpath_plan() before logical_trajectory()"
             )
         if inst.is_two_qubit:
-            pa, pb = inst.qubits
+            pa, pb = wires
             p = noise.two_qubit_prob(pa, pb)
             if p > 0.0:
                 checks.append((len(ops), p, _TWO, target(pa), target(pb)))
         else:
-            q = inst.qubits[0]
+            q = wires[0]
             p = noise.single_qubit_depol.get(q, 0.0)
             if p > 0.0:
                 checks.append((len(ops), p, _ONE, target(q), None))
@@ -1097,10 +996,10 @@ def _trajectory_schedule(compiled, noise: NoiseModel, diag: CostDiagonal, durati
         for q in range(n_phys):
             dephase(q, end - clocks[q])
 
-    end_wire = {slot: phys for phys, slot in slot_of.items()}
+    end_wire = {start: phys for phys, start in dirt_of.items()}
 
     def settle(t):
-        return t if t is None or t >= 0 else ~end_wire[~t]
+        return end_wire[t] if isinstance(t, int) else t
 
     return ops, [
         (position, p, kind, settle(a), settle(b))
@@ -1114,8 +1013,8 @@ def _draw_errors(checks, rng: np.random.Generator, shot_counts):
     sample uniforms: the calls lone trajectories make, in the same order.
 
     Returns ``(errors, dirt_masks, uniforms)``.  ``errors[t]`` lists the
-    trajectory's Paulis on logical qubits as ``(position, pauli, q)`` in
-    draw order; an X or Y on an unmapped wire only toggles bit ``w`` of
+    trajectory's Paulis on mapped wires as ``(position, pauli, (z, x))``
+    in draw order; an X or Y on an unmapped wire only toggles bit ``w`` of
     ``dirt_masks[t]`` (a Z there is a global phase).
     """
     random = rng.random
@@ -1133,12 +1032,12 @@ def _draw_errors(checks, rng: np.random.Generator, shot_counts):
                 else:
                     pauli_a, pauli_b = _TWO_QUBIT_PAULIS[int(integers(15))]
                     paulis = ((pauli_a, a), (pauli_b, b))
-                for pauli, q in paulis:
-                    if q >= 0:
-                        if pauli != "i":
-                            hits.append((position, pauli, q))
-                    elif pauli in ("x", "y"):
-                        dirt ^= 1 << ~q
+                for pauli, held in paulis:
+                    if isinstance(held, int):
+                        if pauli in ("x", "y"):
+                            dirt ^= 1 << held
+                    elif pauli != "i":
+                        hits.append((position, pauli, held))
         errors.append(hits)
         dirt_masks.append(dirt)
         uniforms.append(None if shots_t is None else random(shots_t))
@@ -1167,24 +1066,30 @@ def _flush(states: np.ndarray, groups: dict) -> None:
             _apply_phase(states, rows, acc)
 
 
-def _evolve_chunk(ops, errors: dict, diag: CostDiagonal):
+def _evolve_chunk(ops, errors: dict, signs: _SignTable):
     """Evolve the noiseless row and, forked from it, each trajectory of a
-    chunk that has an error on a logical qubit.
+    chunk that has an error on a mapped wire.
 
     ``errors`` maps the chunk's trajectories, in order, to their errors
-    (see :func:`_draw_errors`).  Returns ``(rows, row_of)``: a read-only
-    ``(rows, 2^n)`` array of end states and the row of each forked
-    trajectory; the others end in row 0, the noiseless row.
+    (see :func:`_draw_errors`).  A Z on a wire with frame ``(z, x)`` is
+    the sign vector of ``z``, an X flips the entries in ``x`` (an index
+    permutation), and a Y is ``i X Z``.  Returns ``(rows, row_of)``: a
+    read-only ``(rows, 2^size)`` array of end states and the row of each
+    forked trajectory; the others end in row 0, the noiseless row.
     """
     at: Dict[int, list] = {}
     for t, hits in errors.items():
-        for position, pauli, q in hits:
-            at.setdefault(position, []).append((t, pauli, q))
+        for position, pauli, (z, x) in hits:
+            # Z and Y need z's sign vector: made among the stack's
+            # temporaries, it fragments the heap (+3 MB peak RSS).
+            vector = None if pauli == "x" else signs[z]
+            at.setdefault(position, []).append((t, pauli, vector, x))
     # Row 0 is the noiseless row, and forks take the next rows in the
     # order they happen, so the live rows are a prefix of the stack and
     # each butterfly runs over all of them at once.
     forks = sum(1 for hits in errors.values() if hits)
-    states = np.empty((1 + forks, diag.dim), dtype=complex)
+    indices = np.arange(1 << signs.size, dtype=np.int64)
+    states = np.empty((1 + forks, indices.size), dtype=complex)
     states[0] = 0.0
     states[0, 0] = 1.0
     live = 1
@@ -1196,10 +1101,10 @@ def _evolve_chunk(ops, errors: dict, diag: CostDiagonal):
     groups: Dict[int, list] = {-1: [None, [0]]}
     key_of = [-1] * (1 + forks)
     for index in range(len(ops) + 1):
-        for t, pauli, q in at.get(index, ()):
+        for t, pauli, vector, x in at.get(index, ()):
             row = row_of.get(t)
             if row is None:
-                # The trajectory's first error on a logical qubit: fork it
+                # The trajectory's first error on a mapped wire: fork it
                 # from the noiseless row, pending phase included.
                 row = row_of[t] = live
                 live += 1
@@ -1208,7 +1113,7 @@ def _evolve_chunk(ops, errors: dict, diag: CostDiagonal):
                 groups[key_of[0]][1].append(row)
             if pauli == "z":
                 # Diagonal, so the pending phase stays pending.
-                states[row] *= diag.sign(q)
+                states[row] *= vector
                 continue
             key = key_of[row]
             if key != index:
@@ -1220,8 +1125,8 @@ def _evolve_chunk(ops, errors: dict, diag: CostDiagonal):
                     del groups[key]
                 groups.setdefault(index, [None, []])[1].append(row)
                 key_of[row] = index
-            matrix = _PAULI_X if pauli == "x" else _PAULI_Y
-            states[row] = _apply_single(states[row], matrix, q)
+            state = states[row] if pauli == "x" else 1j * states[row] * vector
+            states[row] = state[indices ^ x]
         if index == len(ops):
             break
         kind, a, b = ops[index]
@@ -1250,18 +1155,20 @@ def logical_trajectory(
     shots: Optional[int] = None,
     reduce: Optional[Callable] = None,
 ) -> list:
-    """Noisy Pauli trajectories evolved together in the ``2^n`` logical
-    frame.
+    """Noisy Pauli trajectories evolved together in the register frame:
+    ``2^n`` logical amplitudes, or ``2^K`` parity-slot ones.
 
     Trajectory ``t`` realises exactly the noise that the ``t``-th of
     ``trajectories`` consecutive calls to
     :meth:`~repro.sim.noise.NoisySimulator.run_trajectory` realises on the
-    same generator, with the same end state: SWAPs become ownership
-    bookkeeping, CPHASE/RZ accumulate diagonal phases (flushed in one
-    ``exp`` when an H, RX, X or Y arrives), H/RX are axis-wise 2x2
-    multiplies.  Pauli noise on unmapped physical qubits cannot reach
-    decoded logical bits; X/Y there toggle a classical dirt bit, Z is a
-    global phase.
+    same generator, with the same end state up to a global phase: SWAPs
+    and CNOTs become frame bookkeeping, CPHASE/RZ accumulate diagonal
+    phases (flushed in one ``exp`` when an H, RX, X or Y arrives), H/RX
+    are axis-wise 2x2 multiplies, and a Pauli on a mapped wire is a sign
+    vector or an index permutation of the register
+    (:func:`_trajectory_schedule`).  Pauli noise on unmapped physical
+    qubits cannot reach decoded bits; X/Y there toggle a classical dirt
+    bit, Z is a global phase.
 
     No draw depends on the state, so the work splits in three:
 
@@ -1271,10 +1178,10 @@ def logical_trajectory(
        ``shots`` is given, by its ``rng.random(shots_t)`` sample uniforms
        (``shots`` split as evenly as :meth:`NoisySimulator.sample_indices`
        splits them), in the order lone trajectories would draw them;
-    3. one ``(rows, 2^n)`` stack, sized up front for the noiseless row
-       and every trajectory with a logical error, evolves the noiseless
-       row, and a trajectory takes its own row only at its first error on
-       a logical qubit, as a copy of the noiseless row and its pending
+    3. one ``(rows, 2^size)`` stack, sized up front for the noiseless row
+       and every trajectory with an error on a mapped wire, evolves the
+       noiseless row, and a trajectory takes its own row only at its
+       first such error, as a copy of the noiseless row and its pending
        phase.  Butterflies run on all live rows at once, and each row
        applies its errors and flushes its phase where a lone trajectory
        does, so every amplitude takes the same float operations in the
@@ -1286,17 +1193,19 @@ def logical_trajectory(
     Returns:
         One entry per trajectory, in order: ``reduce(state, dirt_mask,
         uniforms)``, or the tuple itself without ``reduce``.  ``state``
-        is the read-only flat logical end state (trajectories without a
-        logical error share one), ``dirt_mask`` the basis-state content
-        of the unmapped physical qubits (bit ``p`` set when noise flipped
-        physical qubit ``p`` to ``|1>``), and ``uniforms`` the sample
-        uniforms (``None`` without ``shots``).  ``reduce`` runs once a
-        chunk is evolved, so only a chunk's states are held at a time.
+        is the read-only flat register end state (trajectories without an
+        error on a mapped wire share one), ``dirt_mask`` the basis-state
+        content of the unmapped physical qubits (bit ``p`` set when noise
+        flipped physical qubit ``p`` to ``|1>``), and ``uniforms`` the
+        sample uniforms (``None`` without ``shots``).  ``reduce`` runs
+        once a chunk is evolved, so only a chunk's states are held at a
+        time.
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
     diag = diagonal if diagonal is not None else cost_diagonal(compiled.program)
-    ops, checks = _trajectory_schedule(compiled, noise, diag, durations)
+    signs = _register(compiled, diag).signs()
+    ops, checks = _trajectory_schedule(compiled, noise, signs, durations)
     if shots is None:
         shot_counts = [None] * trajectories
     else:
@@ -1306,11 +1215,11 @@ def logical_trajectory(
         ]
     errors, dirt_masks, uniforms = _draw_errors(checks, rng, shot_counts)
 
-    per_chunk = max(1, _MAX_ROW_AMPLITUDES // diag.dim - 1)
+    per_chunk = max(1, (_MAX_ROW_AMPLITUDES >> signs.size) - 1)
     out = []
     for first in range(0, trajectories, per_chunk):
         chunk = range(first, min(first + per_chunk, trajectories))
-        rows, row_of = _evolve_chunk(ops, {t: errors[t] for t in chunk}, diag)
+        rows, row_of = _evolve_chunk(ops, {t: errors[t] for t in chunk}, signs)
         for t in chunk:
             entry = (rows[row_of.get(t, 0)], dirt_masks[t], uniforms[t])
             out.append(entry if reduce is None else reduce(*entry))
@@ -1417,42 +1326,6 @@ class EvalOutcome:
     timings: Dict[str, float]
 
 
-def _register(compiled, encoding: str, diag: CostDiagonal):
-    """What the circuit's encoding decides: ``(size, cut, plan, kernel)``.
-
-    ``size`` is the register the measured bits address (``n`` logical
-    qubits, or ``K`` parity slots), ``cut`` the cut value of each of its
-    basis indices, ``plan`` the verifier that admits the circuit to the
-    fast path, and ``kernel()`` the exact noiseless register state.
-    Parity slot bits decode to a logical assignment by XOR along
-    spanning-tree paths before the cut table is read, so ``r0``/``rh``
-    compare directly with direct-encoding evaluations of the problem.
-    """
-    program = compiled.program
-    if encoding == "direct":
-        return (
-            program.num_qubits,
-            diag.cut,
-            fastpath_plan,
-            lambda: qaoa_statevector(program, diag),
-        )
-    if encoding != "parity":
-        raise ValueError(f"unknown circuit encoding {encoding!r}")
-    from ..compiler.parity import ParityLayout, parity_decode_indices
-
-    layout = ParityLayout.from_program(program)
-    info = getattr(compiled, "encoding_info", None) or {}
-    strength = float(info.get("constraint_strength", 2.0))
-    size = layout.num_slots
-    slots = np.arange(1 << size, dtype=np.int64)
-    return (
-        size,
-        diag.cut[parity_decode_indices(slots, layout)],
-        parity_plan,
-        lambda: _evolve_levels(program, layout.phase_vector(strength), size),
-    )
-
-
 def evaluate_fast(
     compiled,
     *,
@@ -1466,14 +1339,13 @@ def evaluate_fast(
 ) -> EvalOutcome:
     """Evaluate ``r0``/``rh``/ARG of a compiled QAOA circuit in one pass.
 
-    The one evaluation body for both encodings.  The encoding picks the
-    register (``n`` logical qubits, or ``K`` parity slots), its cut
-    table, its verifier (:func:`fastpath_plan` or :func:`parity_plan`)
-    and its noiseless kernel; sampling, the gate-level fallback, the
-    readout channel and ARG are shared.  The noisy side replays
-    trajectories in the logical frame (:func:`logical_trajectory`) for a
-    verified direct circuit, and runs gate by gate otherwise: parity's
-    constraint gadgets have no cheap logical-frame replay.
+    The one evaluation body for both encodings.  The encoding describes
+    the register (``n`` logical qubits, or ``K`` parity slots), its cut
+    table and its noiseless kernel; the verifier (:func:`fastpath_plan`),
+    sampling, the gate-level fallback, the readout channel, the noisy
+    side and ARG are shared.  A verified circuit's noisy side replays its
+    trajectories in the register frame (:func:`logical_trajectory`); a
+    refused one runs gate by gate.
 
     The cost diagonal is interned once per problem and reused for the
     ideal expectation, every noisy trajectory, and the analytic readout
@@ -1509,7 +1381,6 @@ def evaluate_fast(
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
     rng = rng if rng is not None else np.random.default_rng()
-    encoding = getattr(compiled, "encoding", "direct")
     n_phys = compiled.circuit.num_qubits
     mapping = {int(q): int(p) for q, p in compiled.final_mapping.items()}
     timings: Dict[str, float] = {}
@@ -1519,11 +1390,12 @@ def evaluate_fast(
     max_cut = diag.max_value
     if max_cut == 0.0:
         raise ValueError("problem has zero maximum cut")
-    size, cut, verify, kernel = _register(compiled, encoding, diag)
+    register = _register(compiled, diag)
+    size, cut = register.size, register.cut()
     timings["diagonal"] = time.perf_counter() - tick
 
     if use_fastpath:
-        plan = verify(compiled)
+        plan = fastpath_plan(compiled)
     else:
         plan = FastPathPlan(False, "fast path disabled by caller")
     fast = plan.ok
@@ -1537,7 +1409,7 @@ def evaluate_fast(
     # -- ideal side ----------------------------------------------------
     tick = time.perf_counter()
     if fast:
-        probs = np.abs(kernel()) ** 2
+        probs = np.abs(register.kernel()) ** 2
         if mode == "exact":
             r0 = float(np.dot(probs, cut)) / max_cut
         else:
@@ -1564,10 +1436,7 @@ def evaluate_fast(
     n_traj = trajectories
     if noise is not None:
         tick = time.perf_counter()
-        # Only the direct encoding replays trajectories in the logical
-        # frame; parity's constraint gadgets run gate by gate.
-        replay = fast and encoding == "direct"
-        if not replay:
+        if not fast:
             nsim = NoisySimulator(
                 noise, trajectories=trajectories, durations=durations
             )
@@ -1576,7 +1445,7 @@ def evaluate_fast(
                 cut,
                 {r: noise.readout_flip.get(mapping[r], 0.0) for r in range(size)},
             )
-            if replay:
+            if fast:
 
                 def expectation(state, _dirt_mask, _uniforms):
                     probs = np.abs(state) ** 2
@@ -1608,7 +1477,7 @@ def evaluate_fast(
             rh = total / n_traj / max_cut
         else:
             n_traj = min(trajectories, shots)
-            if replay:
+            if fast:
 
                 def sample(state, dirt_mask, uniforms):
                     # Dirt only sets bits of unmapped qubits, so it moves
@@ -1621,7 +1490,7 @@ def evaluate_fast(
                     )
                     return order[picks]
 
-                register = np.concatenate(
+                outcomes = np.concatenate(
                     logical_trajectory(
                         compiled,
                         noise,
@@ -1641,13 +1510,13 @@ def evaluate_fast(
                     p = noise.readout_flip.get(phys, 0.0)
                     if p <= 0.0:
                         continue
-                    flips = rng.random(len(register)) < p
+                    flips = rng.random(len(outcomes)) < p
                     if phys in owner:
-                        register[flips] ^= 1 << owner[phys]
+                        outcomes[flips] ^= 1 << owner[phys]
             else:
                 indices = nsim.sample_indices(compiled.circuit, shots, rng)
-                register = decode_indices(indices, mapping, size)
-            rh = float(cut[register].mean()) / max_cut
+                outcomes = decode_indices(indices, mapping, size)
+            rh = float(cut[outcomes].mean()) / max_cut
         if r0 == 0.0:
             raise ValueError("noiseless approximation ratio r0 is zero")
         arg = 100.0 * (r0 - rh) / r0

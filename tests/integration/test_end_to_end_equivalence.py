@@ -193,12 +193,12 @@ class TestParityEquivalence:
         np.testing.assert_allclose(observed, reference, atol=1e-9)
 
     def test_parity_fast_and_fallback_agree(self, problem, program):
-        from repro.sim.fastpath import evaluate_fast, parity_plan
+        from repro.sim.fastpath import evaluate_fast, fastpath_plan
 
         compiled = compile_with_method(
             program, ring_device(8), "parity", rng=np.random.default_rng(5)
         )
-        assert parity_plan(compiled).ok
+        assert fastpath_plan(compiled).ok
         fast = evaluate_fast(compiled, mode="exact")
         slow = evaluate_fast(compiled, mode="exact", use_fastpath=False)
         assert fast.fastpath and not slow.fastpath

@@ -24,7 +24,7 @@ from repro.hardware import get_device
 from repro.qaoa import MaxCutProblem
 from repro.service import CompileJob, execute_job
 from repro.service.job import job_from_dict, job_to_dict, method_label
-from repro.sim.fastpath import evaluate_fast, fastpath_plan, parity_plan
+from repro.sim.fastpath import evaluate_fast, fastpath_plan
 
 PROBLEM = MaxCutProblem(
     6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]
@@ -66,9 +66,7 @@ class TestStructuralMethodsEndToEnd:
         parity = compile_with_method(
             _program(), coupling, "parity", rng=np.random.default_rng(0)
         )
-        refused = fastpath_plan(parity)
-        assert not refused.ok and "verifier" in refused.reason
-        pplan = parity_plan(parity)
+        pplan = fastpath_plan(parity)
         assert pplan.ok, pplan.reason
 
     def test_serialize_roundtrip_preserves_encoding(self):
@@ -79,7 +77,7 @@ class TestStructuralMethodsEndToEnd:
         restored = from_json(to_json(compiled))
         assert restored.encoding == "parity"
         assert restored.encoding_info == compiled.encoding_info
-        assert parity_plan(restored).ok
+        assert fastpath_plan(restored).ok
         a = evaluate_fast(compiled, mode="exact")
         b = evaluate_fast(restored, mode="exact")
         assert a.r0 == pytest.approx(b.r0, abs=1e-12)

@@ -1,13 +1,12 @@
 """Every registered method's output is proven, not sampled.
 
-The verifiers (:func:`~repro.sim.fastpath.fastpath_plan` for the direct
-encoding, :func:`~repro.sim.fastpath.parity_plan` for the parity one)
-must accept what every registered method emits under both routers on
-both paper devices — a refusal would send the evaluation to the
-gate-level simulators without a word.  They must also refuse a circuit
-whose classical bit ``c[final_mapping[q]]`` holds another qubit's
-outcome, and a verified sampled evaluation of either encoding must
-return the very numbers of the gate-level fallback.
+The verifier (:func:`~repro.sim.fastpath.fastpath_plan`, one walk for
+the direct and the parity encoding) must accept what every registered
+method emits under both routers on both paper devices — a refusal would
+send the evaluation to the gate-level simulators without a word.  It
+must also refuse a circuit whose classical bit ``c[final_mapping[q]]``
+holds another qubit's outcome, and a verified sampled evaluation of
+either encoding must return the very numbers of the gate-level fallback.
 """
 
 import dataclasses
@@ -24,8 +23,8 @@ from repro.hardware import (
     random_calibration,
 )
 from repro.qaoa import MaxCutProblem
-from repro.sim import NoiseModel
-from repro.sim.fastpath import evaluate_fast, fastpath_plan, parity_plan
+from repro.sim import NoiseModel, fastpath
+from repro.sim.fastpath import evaluate_fast, fastpath_plan
 
 DEVICES = [ibmq_16_melbourne, ibmq_20_tokyo]
 
@@ -63,12 +62,6 @@ def _compile(device, method, router, p, seed):
     )
 
 
-def _plan(compiled):
-    if compiled.encoding == "parity":
-        return parity_plan(compiled)
-    return fastpath_plan(compiled)
-
-
 @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.__name__)
 @pytest.mark.parametrize("router", ["layered", "sabre"])
 @pytest.mark.parametrize("method", available_methods())
@@ -76,7 +69,7 @@ def test_verifier_accepts_every_method(device, method, router):
     for p in (1, 2):
         for seed in (0, 1, 2):
             compiled = _compile(device, method, router, p, seed)
-            plan = _plan(compiled)
+            plan = fastpath_plan(compiled)
             assert plan.ok, (p, seed, plan.reason)
             # every logical qubit (or parity slot) is measured last, at
             # its final home
@@ -117,8 +110,8 @@ def test_fastpath_plan_refuses_measures_bound_to_the_wrong_qubit():
 
 def test_parity_plan_refuses_measures_bound_to_the_wrong_slot():
     compiled = _compile(ibmq_16_melbourne, "parity", "layered", 1, 0)
-    assert parity_plan(compiled).ok
-    plan = parity_plan(_swap_two_homes(compiled))
+    assert fastpath_plan(compiled).ok
+    plan = fastpath_plan(_swap_two_homes(compiled))
     assert not plan.ok
     assert plan.reason.startswith("measure bound to the wrong qubit")
 
@@ -178,8 +171,33 @@ def test_sampled_fastpath_equals_gate_level_fallback(method):
 
 
 def test_exact_parity_fastpath_equals_gate_level_fallback():
-    """Parity's noisy side is gate by gate on both paths, so rh is equal;
-    r0 differs only in the order of the expectation's sum."""
+    """The fast path evolves and sums over the slot register and the
+    fallback over the physical one, so exact r0 and rh agree up to the
+    rounding of those sums."""
     fast, slow = _fast_and_fallback("parity", "exact")
-    assert fast.rh == slow.rh
+    assert abs(fast.rh - slow.rh) < 1e-12
     assert abs(fast.r0 - slow.r0) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_verified_parity_eval_never_runs_gate_by_gate(monkeypatch, mode):
+    """A verified parity circuit's noisy side replays its trajectories in
+    the slot register: no gate-level simulator is built."""
+
+    def gate_level(*args, **kwargs):
+        raise AssertionError("a gate-level simulator was built")
+
+    monkeypatch.setattr(fastpath, "NoisySimulator", gate_level)
+    monkeypatch.setattr(fastpath, "StatevectorSimulator", gate_level)
+    compiled = _compile(ibmq_16_melbourne, "parity", "layered", 2, 0)
+    outcome = evaluate_fast(
+        compiled,
+        noise=NoiseModel.from_calibration(
+            melbourne_calibration(), t2_ns=40_000.0
+        ),
+        shots=1024,
+        trajectories=4,
+        rng=np.random.default_rng(1),
+        mode=mode,
+    )
+    assert outcome.fastpath and outcome.rh is not None

@@ -28,7 +28,7 @@ from repro.compiler.parity import (
 from repro.hardware import get_device
 from repro.qaoa.problems import Level, MaxCutProblem, QAOAProgram
 from repro.sim import StatevectorSimulator
-from repro.sim.fastpath import evaluate_fast, parity_plan
+from repro.sim.fastpath import evaluate_fast, fastpath_plan
 
 ATOL = 1e-9
 
@@ -141,7 +141,7 @@ class TestCompiledExpectation:
         compiled = compile_with_method(
             program, coupling, "parity", rng=np.random.default_rng(0)
         )
-        assert parity_plan(compiled).ok
+        assert fastpath_plan(compiled).ok
         # brute force: simulate the physical circuit, marginalise onto
         # the slot qubits, decode, take the expectation directly
         probs = StatevectorSimulator().probabilities(
@@ -166,8 +166,9 @@ class TestCompiledExpectation:
 
 
 class TestVerifierTamperRejection:
-    """parity_plan must refuse circuits that are not the exact parity
-    program — perturbed angles, dropped gadget gates, missing mixers."""
+    """fastpath_plan must refuse parity circuits that are not the exact
+    parity program — perturbed angles, dropped gadget gates, missing
+    mixers."""
 
     def _compiled(self):
         problem = MaxCutProblem(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -191,7 +192,7 @@ class TestVerifierTamperRejection:
         return dataclasses.replace(compiled, circuit=circuit)
 
     def test_accepts_untampered(self):
-        assert parity_plan(self._compiled()).ok
+        assert fastpath_plan(self._compiled()).ok
 
     def test_rejects_perturbed_rz_angle(self):
         import dataclasses
@@ -207,7 +208,7 @@ class TestVerifierTamperRejection:
                     break
             return instructions
 
-        assert not parity_plan(
+        assert not fastpath_plan(
             self._tampered(compiled, bump_first_rz)
         ).ok
 
@@ -221,9 +222,39 @@ class TestVerifierTamperRejection:
                     break
             return instructions
 
-        assert not parity_plan(
+        assert not fastpath_plan(
             self._tampered(compiled, drop_first_cnot)
         ).ok
+
+    def test_rejects_mixer_inside_the_cnot_ladder(self):
+        """A mixer hoisted onto the ladder's first wire before the chain
+        is undone: that wire's mask is its one slot, but the slot rides
+        on the other ladder wires too, so the RX is no mixer on it."""
+        compiled = self._compiled()
+
+        def hoist_mixer(instructions):
+            first = next(
+                k for k, inst in enumerate(instructions) if inst.name == "cnot"
+            )
+            wire = instructions[first].qubits[0]
+            mixer = instructions.pop(
+                next(
+                    k
+                    for k, inst in enumerate(instructions)
+                    if inst.name == "rx" and inst.qubits == (wire,)
+                )
+            )
+            gadget_rz = next(
+                k
+                for k, inst in enumerate(instructions)
+                if k > first and inst.name == "rz"
+            )
+            instructions.insert(gadget_rz + 1, mixer)
+            return instructions
+
+        plan = fastpath_plan(self._tampered(compiled, hoist_mixer))
+        assert not plan.ok
+        assert "while another wire carries it" in plan.reason
 
     def test_rejects_dropped_mixer(self):
         compiled = self._compiled()
@@ -235,7 +266,7 @@ class TestVerifierTamperRejection:
                     break
             return instructions
 
-        assert not parity_plan(
+        assert not fastpath_plan(
             self._tampered(compiled, drop_last_rx)
         ).ok
 

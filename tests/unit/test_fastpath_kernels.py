@@ -7,20 +7,24 @@ replaced, bit for bit, on one state or a stack of them; and the noisy
 trajectory kernel, which evolves an evaluation's trajectories together
 from one shared noiseless row, must give every trajectory the state,
 dirt mask and sample uniforms of one trajectory replayed alone, and
-leave the generator where the lone replays leave it.  Every reference
-lives only here.
+leave the generator where the lone replays leave it.  On parity circuits,
+whose CNOT ladders move each wire's frame off a single slot, the kernel
+is held against the gate-level ``NoisySimulator.run_trajectory`` over
+the whole physical register instead.  Every reference lives only here.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import repro
+from repro.circuits import QuantumCircuit
+from repro.circuits.gates import Instruction
 from repro.qaoa.problems import MaxCutProblem
-from repro.sim import NoiseModel, fastpath
+from repro.sim import NoiseModel, NoisySimulator, fastpath
 from repro.sim.fastpath import (
     _HADAMARD,
-    _PAULI_X,
-    _PAULI_Y,
     _apply_single,
     _physical_index_map,
     _rx_matrix,
@@ -28,10 +32,14 @@ from repro.sim.fastpath import (
     cost_diagonal,
     decode_indices,
     evaluate_fast,
+    fastpath_plan,
     logical_trajectory,
     qaoa_statevector,
 )
 from repro.sim.noise import _ONE_QUBIT_PAULIS, _TWO_QUBIT_PAULIS
+
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 def _choice_reference(rng, weights, positions, n_phys, size):
@@ -184,7 +192,7 @@ def _lone_trajectory(compiled, noise, rng, diag, log):
                 dirt[phys] = dirt.get(phys, 0) ^ 1
             return
         if pauli == "z":
-            state = state * diag.sign(q)
+            state = state * diag.signs[1 << q]
             return
         flush()
         state = _apply_single(state, _PAULI_X if pauli == "x" else _PAULI_Y, q)
@@ -228,9 +236,9 @@ def _lone_trajectory(compiled, noise, rng, diag, log):
                 dirt[pb] = da
         elif name == "cphase":
             qa, qb = owner[inst.qubits[0]], owner[inst.qubits[1]]
-            add_diag(0.5 * inst.params[0], diag.szz(qa, qb))
+            add_diag(0.5 * inst.params[0], diag.signs[1 << qa | 1 << qb])
         elif name == "rz":
-            add_diag(0.5 * inst.params[0], diag.sign(owner[inst.qubits[0]]))
+            add_diag(0.5 * inst.params[0], diag.signs[1 << owner[inst.qubits[0]]])
         elif name == "h":
             flush()
             state = _apply_single(state, _HADAMARD, owner[inst.qubits[0]])
@@ -527,3 +535,138 @@ def test_evaluate_fast_equals_lone_trajectory_evaluation(case, mode):
         assert outcome.fastpath
         assert (outcome.r0, outcome.rh, outcome.arg) == (r0, rh, arg), name
         assert rng.bit_generator.state == state
+
+
+# ----------------------------------------------------------------------
+# the trajectory kernel on parity circuits against the gate-level path
+# ----------------------------------------------------------------------
+# A 6-node ring with the chord (0, 3): 7 parity slots and two 4-slot
+# constraint cycles, so each cycle's gadget is a 3-CNOT ladder.
+_PARITY_GRAPH = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]
+
+
+def _parity_case(device, p):
+    result = repro.compile(
+        MaxCutProblem(6, _PARITY_GRAPH),
+        target=device,
+        method="parity",
+        calibration="auto",
+        seed=3,
+        gammas=[0.61, 0.37][:p],
+        betas=[0.29, 0.53][:p],
+    )
+    return result.compiled, result.target.calibration
+
+
+def _assert_parity_kernel_matches(compiled, noise, seed, trajectories, shots=None):
+    """Each trajectory's slot-register state equals the gate-level
+    trajectory's physical state, gathered at the slots' final homes OR'd
+    with the dirt mask, up to one global phase; dirt masks, sample
+    uniforms and the generator's end state are equal."""
+    reference = np.random.default_rng(seed)
+    nsim = NoisySimulator(noise)
+    expected = []
+    for t in range(trajectories):
+        state = nsim.run_trajectory(compiled.circuit, reference)
+        uniforms = None
+        if shots is not None:
+            base, extra = divmod(shots, trajectories)
+            uniforms = reference.random(base + (1 if t < extra else 0))
+        expected.append((state, uniforms))
+    rng = np.random.default_rng(seed)
+    got = logical_trajectory(
+        compiled, noise, rng, trajectories=trajectories, shots=shots
+    )
+    homes = compiled.final_mapping
+    phys_map = _physical_index_map(homes, len(homes))
+    unmapped = (1 << compiled.circuit.num_qubits) - 1
+    for home in homes.values():
+        unmapped &= ~(1 << home)
+    for (state, dirt_mask, uniforms), (e_state, e_uniforms) in zip(
+        got, expected
+    ):
+        # The unmapped wires hold one basis state, which every amplitude's
+        # index carries.
+        assert dirt_mask == int(np.argmax(np.abs(e_state))) & unmapped
+        gathered = e_state[phys_map | dirt_mask]
+        phase = np.vdot(state, gathered)
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert np.max(np.abs(gathered - phase * state)) < 1e-12
+        if shots is None:
+            assert uniforms is None
+        else:
+            assert np.array_equal(uniforms, e_uniforms)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("device", ["ibmq_16_melbourne", "ibmq_20_tokyo"])
+def test_parity_trajectory_kernel_matches_gate_level(monkeypatch, device, p):
+    """Calibrated noise with T2 and the two heavy models.  The heavy ones
+    make X and Y errors inside the CNOT ladders certain, where an X flips
+    several slots at once: such an error must have happened."""
+    compiled, calibration = _parity_case(device, p)
+    assert fastpath_plan(compiled).ok
+    drawn = []
+    draw = fastpath._draw_errors
+
+    def spy(checks, rng, shot_counts):
+        out = draw(checks, rng, shot_counts)
+        drawn.extend(hit for hits in out[0] for hit in hits)
+        return out
+
+    monkeypatch.setattr(fastpath, "_draw_errors", spy)
+    noises = _noises(calibration)
+    # The 2^20-amplitude tokyo register costs the gate-level side about
+    # 0.3 s per trajectory, so it runs fewer.
+    trajectories = 6 if device == "ibmq_16_melbourne" else 2
+    for k, name in enumerate(("t2", "heavy", "heavy_t2")):
+        _assert_parity_kernel_matches(
+            compiled, noises[name], 300 + k, trajectories, shots=4096
+        )
+    _assert_parity_kernel_matches(compiled, noises["heavy_t2"], 310, trajectories)
+    assert any(
+        pauli in ("x", "y") and x & (x - 1) for _, pauli, (_, x) in drawn
+    )
+
+
+def _cphase_as_cnot_rz_cnot(compiled):
+    """``compiled`` with every CPHASE(θ) on ``a, b`` rewritten as
+    ``CNOT(a, b) · RZ(θ) on b · CNOT(a, b)``, the same unitary."""
+    circuit = QuantumCircuit(compiled.circuit.num_qubits)
+    for inst in compiled.circuit:
+        if inst.name != "cphase":
+            circuit.append(inst)
+            continue
+        a, b = inst.qubits
+        circuit.append(Instruction("cnot", (a, b)))
+        circuit.append(Instruction("rz", (b,), inst.params))
+        circuit.append(Instruction("cnot", (a, b)))
+    return dataclasses.replace(compiled, circuit=circuit)
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_direct_circuit_with_cnot_ladders_takes_the_fast_path(mode):
+    compiled, calibration = _case("ibmq_16_melbourne", "ic")
+    rewritten = _cphase_as_cnot_rz_cnot(compiled)
+    assert "cnot" in {inst.name for inst in rewritten.circuit}
+    assert fastpath_plan(rewritten).ok
+    noise = NoiseModel.from_calibration(calibration, t2_ns=40_000.0)
+    fast, slow = (
+        evaluate_fast(
+            rewritten,
+            noise=noise,
+            shots=2048,
+            trajectories=6,
+            rng=np.random.default_rng(5),
+            mode=mode,
+            use_fastpath=use_fastpath,
+        )
+        for use_fastpath in (True, False)
+    )
+    assert fast.fastpath and not slow.fastpath
+    if mode == "sampled":
+        assert (fast.r0, fast.rh) == (slow.r0, slow.rh)
+    else:
+        assert abs(fast.r0 - slow.r0) < 1e-12
+        assert abs(fast.rh - slow.rh) < 1e-12

@@ -1,6 +1,7 @@
 """Unit tests for compiled-result JSON serialisation."""
 
 import json
+import re
 
 import pytest
 
@@ -141,6 +142,38 @@ class TestValidation:
                 ValueError, match="unsupported serialisation format version"
             ):
                 from_json(json.dumps(payload))
+
+    def test_document_missing_a_field_is_a_value_error(self, compiled_qaoa):
+        """A v5 document of either kind that lacks any field it reads —
+        at the top, in its coupling, its program or a pass record — is
+        refused with a ValueError naming the field, not a KeyError."""
+        device = ring_device(5)
+        raw = ConventionalBackend(device).compile(
+            QuantumCircuit(5).cphase(0.4, 0, 2), Mapping.trivial(5, 5)
+        )
+        for compiled in (compiled_qaoa, raw):
+            document = json.loads(to_json(compiled))
+            fields = [((key,), key) for key in document if key != "format_version"]
+            for nested in ("coupling", "program"):
+                if nested in document:
+                    fields += [
+                        ((nested, key), f"{nested}.{key}") for key in document[nested]
+                    ]
+            if "pass_trace" in document:
+                fields += [
+                    (("pass_trace", 0, key), f"pass_trace[].{key}")
+                    for key in ("name", "seconds")
+                ]
+            assert len(fields) >= 8
+            for path, name in fields:
+                tampered = json.loads(to_json(compiled))
+                holder = tampered
+                for key in path[:-1]:
+                    holder = holder[key]
+                del holder[path[-1]]
+                with pytest.raises(ValueError, match=re.escape(repr(name))):
+                    from_document(tampered)
+            assert from_document(document).swap_count == compiled.swap_count
 
     def test_tampered_circuit_fails_validation(self, compiled_qaoa):
         payload = json.loads(to_json(compiled_qaoa))
