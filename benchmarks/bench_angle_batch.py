@@ -5,8 +5,9 @@ the *same* problem at many ``(gamma, beta)`` points.  The looped
 baseline pays per-point overhead — one statevector build, one gate walk,
 one diagonal lookup per call — while
 :func:`repro.sim.fastpath.expectation_batch` applies the diagonal phase
-and the axis-wise batched RX mixer to the whole angle batch in a handful
-of vectorised numpy operations.
+and the grouped Kronecker RX mixer (one ``matmul`` per group of up to
+five adjacent qubits) to the whole angle batch in a handful of
+vectorised numpy operations.
 
 CI runs ``python benchmarks/bench_angle_batch.py --quick`` and holds the
 batched path to its contract: at least 5x faster than looping

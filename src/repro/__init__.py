@@ -113,7 +113,7 @@ from .sim import (
     evaluate_fast,
 )
 
-__version__ = "9.0.0"
+__version__ = "9.1.0"
 
 __all__ = [
     "__version__",

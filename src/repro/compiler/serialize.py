@@ -48,28 +48,36 @@ FORMAT_VERSION = 5
 
 #: The fields :func:`from_document` reads: every document's, a QAOA
 #: document's, and those of the nested ``coupling``, ``program`` and
-#: ``pass_trace`` records.
-_FIELDS = (
-    "kind",
-    "method",
-    "coupling",
-    "qasm",
-    "initial_mapping",
-    "final_mapping",
-    "swap_count",
-    "compile_time",
-)
-_QAOA_FIELDS = (
-    "warnings",
-    "pass_trace",
-    "target_fingerprint",
-    "encoding",
-    "encoding_info",
-    "program",
-)
-_COUPLING_FIELDS = ("name", "num_qubits", "edges")
-_PROGRAM_FIELDS = ("num_qubits", "edges", "levels", "linear")
-_PASS_FIELDS = ("name", "seconds")
+#: ``pass_trace`` records, each with the JSON type it relies on
+#: (``object`` where any value passes through).
+_FIELDS = {
+    "kind": object,
+    "method": object,
+    "coupling": dict,
+    "qasm": str,
+    "initial_mapping": dict,
+    "final_mapping": dict,
+    "swap_count": object,
+    "compile_time": object,
+}
+_QAOA_FIELDS = {
+    "warnings": list,
+    "pass_trace": list,
+    "target_fingerprint": object,
+    "encoding": object,
+    "encoding_info": dict,
+    "program": dict,
+}
+_COUPLING_FIELDS = {"name": object, "num_qubits": object, "edges": list}
+_PROGRAM_FIELDS = {
+    "num_qubits": object,
+    "edges": list,
+    "levels": list,
+    "linear": dict,
+}
+_PASS_FIELDS = {"name": object, "seconds": object}
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
 
 
 def _coupling_payload(coupling: CouplingGraph) -> dict:
@@ -132,20 +140,32 @@ def from_json(text: str) -> Union[CompiledQAOA, CompiledCircuit]:
     return from_document(json.loads(text))
 
 
-def _require(document: dict, fields, where: str = "") -> None:
-    """Refuse a document that lacks one of ``fields`` with a
-    ``ValueError`` naming it (``where`` prefixes a nested field's name)."""
-    for field in fields:
+def _wrong_type(name: str, kind: type, value) -> ValueError:
+    """The refusal of field ``name`` for holding ``value``, not ``kind``."""
+    return ValueError(
+        f"compiled-result payload field {name!r} must be a JSON "
+        f"{_JSON_TYPES[kind]}, got {type(value).__name__}"
+    )
+
+
+def _require(document: dict, fields: dict, where: str = "") -> None:
+    """Refuse a document that lacks one of ``fields``, or holds one of
+    another JSON type, with a ``ValueError`` naming it (``where``
+    prefixes a nested field's name)."""
+    for field, kind in fields.items():
         if field not in document:
             raise ValueError(
                 f"compiled-result payload has no {where + field!r} field"
             )
+        if not isinstance(document[field], kind):
+            raise _wrong_type(where + field, kind, document[field])
 
 
 def from_document(payload: dict) -> Union[CompiledQAOA, CompiledCircuit]:
     """Restore a compiled result from its decoded document (the inverse of
     :func:`to_document`).  A document of another format version, or one
-    that lacks a field, raises ``ValueError``."""
+    that lacks a field or holds one of the wrong JSON type, raises
+    ``ValueError``."""
     if not isinstance(payload, dict):
         raise ValueError(
             f"compiled-result payload must be a JSON object, "
@@ -164,11 +184,14 @@ def from_document(payload: dict) -> Union[CompiledQAOA, CompiledCircuit]:
             f"circuit or prune the stale cache entry"
         )
     qaoa = payload.get("kind") == "qaoa"
-    _require(payload, _FIELDS + (_QAOA_FIELDS if qaoa else ()))
+    _require(payload, _FIELDS)
     _require(payload["coupling"], _COUPLING_FIELDS, "coupling.")
     if qaoa:
+        _require(payload, _QAOA_FIELDS)
         _require(payload["program"], _PROGRAM_FIELDS, "program.")
         for record in payload["pass_trace"]:
+            if not isinstance(record, dict):
+                raise _wrong_type("pass_trace[]", dict, record)
             _require(record, _PASS_FIELDS, "pass_trace[].")
     coupling = _coupling_from(payload["coupling"])
     loaded = qasm_loads(payload["qasm"])

@@ -41,8 +41,9 @@ __all__ = [
     "optimize_job_from_dict",
 ]
 
-#: Bumped whenever the optimize canonical form changes.
-OPTIMIZE_HASH_VERSION = 1
+#: Bumped whenever the optimize canonical form changes, or the same job
+#: would return a different answer (2: the grouped batched mixer).
+OPTIMIZE_HASH_VERSION = 2
 
 execute_optimize_job = execute_job  # perfbench passes this name as execute_fn
 

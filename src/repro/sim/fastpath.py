@@ -12,7 +12,9 @@ algebraic structure this module exploits:
   where ``c(z)`` is the cut value, ``W`` the total edge weight and
   ``s_i = 1 - 2 bit_i`` (exact, global phase included);
 * the mixer is a tensor product of identical ``RX`` rotations — ``n``
-  axis-wise 2x2 multiplies, no per-gate matrices;
+  axis-wise 2x2 multiplies, no per-gate matrices; the angle-batched
+  kernel applies it as one ``matmul`` per group of up to five adjacent
+  qubits (``RX^(x)k`` as a ``2^k x 2^k`` matrix) instead;
 * SWAPs inserted by routing are pure qubit relocations — in the *logical*
   frame they are bookkeeping, not linear algebra, so the state never
   leaves the ``2^n`` logical subspace (n = problem qubits, not device
@@ -65,6 +67,7 @@ normalising sum.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -404,38 +407,83 @@ def _evolve_levels(program, phase: np.ndarray, num_qubits: int) -> np.ndarray:
     return state
 
 
-def _apply_rx_batch(
-    src: np.ndarray,
-    dst: np.ndarray,
-    cos_half: np.ndarray,
-    sin_half: np.ndarray,
-    num_qubits: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply per-column RX mixers to every qubit of a ``(2^n, batch)``
-    stack.
+#: Most adjacent qubits the batched mixer applies as one matrix.
+_MIXER_GROUP = 5
 
-    The batch axis sits *last* so every ufunc below streams over
-    contiguous batch-length runs regardless of which qubit is being
-    mixed — with batch-first layout the ``qubit = 0`` butterfly
-    degenerates to stride-one-element views and the pass goes scalar.
-    ``cos_half``/``sin_half`` hold cos/sin of each column's half-angle
-    and broadcast against that last axis.  Ping-pongs between ``src``
-    and ``dst`` (one butterfly per qubit, two fused multiply-adds per
-    output half, no temporaries beyond the pair); returns the
-    ``(result, scratch)`` buffer pair.
+
+@functools.lru_cache(maxsize=None)
+def _mixer_groups(num_qubits: int) -> Tuple[Tuple[int, int], ...]:
+    """``(lowest qubit, size)`` of each mixer group: ``ceil(n / 5)`` runs
+    of adjacent qubits whose sizes differ by at most one."""
+    count = -(-num_qubits // _MIXER_GROUP)
+    groups, low = [], 0
+    for g in range(count):
+        size = num_qubits // count + int(g < num_qubits % count)
+        groups.append((low, size))
+        low += size
+    return tuple(groups)
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_distance(size: int) -> np.ndarray:
+    """``popcount(i ^ j)`` for every pair of ``size``-bit indices."""
+    index = np.arange(1 << size)
+    xor = index[:, None] ^ index[None, :]
+    distance = np.zeros_like(xor)
+    for bit in range(size):
+        distance += (xor >> bit) & 1
+    distance.flags.writeable = False
+    return distance
+
+
+def _rx_power(cos: np.ndarray, sin: np.ndarray, size: int) -> np.ndarray:
+    """``RX(2 beta)`` on ``size`` qubits at once, one ``(2^size, 2^size)``
+    matrix per row of ``cos``/``sin`` (of each row's ``beta``).
+
+    Entry ``(i, j)`` is ``cos^(size - d) * (-i sin)^d`` with
+    ``d = popcount(i ^ j)``: a factor ``cos`` per qubit whose bit agrees
+    and ``-i sin`` per qubit whose bit differs.  The matrix is symmetric.
     """
-    batch = src.shape[-1]
-    s = -1.0j * sin_half
-    for qubit in range(num_qubits):
-        s4 = src.reshape(-1, 2, 1 << qubit, batch)
-        d4 = dst.reshape(-1, 2, 1 << qubit, batch)
-        lo, hi = s4[:, 0], s4[:, 1]
-        np.multiply(lo, cos_half, out=d4[:, 0])
-        d4[:, 0] += hi * s
-        np.multiply(lo, s, out=d4[:, 1])
-        d4[:, 1] += hi * cos_half
-        src, dst = dst, src
-    return src, dst
+    factors = np.empty((cos.size, 2, size + 1), dtype=complex)
+    factors[:, :, 0] = 1.0
+    factors[:, 0, 1:] = cos[:, None]
+    factors[:, 1, 1:] = -1j * sin[:, None]
+    powers = np.multiply.accumulate(factors, axis=2)  # cos^d, (-i sin)^d
+    terms = powers[:, 0, ::-1] * powers[:, 1]
+    # take, not terms[:, table]: the latter lays the rows out strided
+    # when there are several, and matmul then skips BLAS for them but
+    # not for a lone row, so a row's bits would depend on its batch.
+    return np.take(terms, _bit_distance(size), axis=1)
+
+
+def _apply_mixer_batch(
+    states: np.ndarray, betas: np.ndarray, num_qubits: int
+) -> np.ndarray:
+    """Apply each row's ``RX(2 beta)`` mixer to every qubit of a
+    C-contiguous ``(rows, 2^n)`` stack.
+
+    Each group of :func:`_mixer_groups` is one ``matmul`` of the rows'
+    group matrices (:func:`_rx_power`) along the group's bits, viewed as
+    the middle axis of ``(higher bits, group bits, lower bits)``.  The
+    lowest group is the last axis, so it runs as ``state @ matrix``
+    (the matrix is symmetric).  ``matmul`` issues one BLAS call per row,
+    or per row and higher-bit index, of the same shape whatever the
+    number of rows, so a row's bits do not depend on its batch.
+    """
+    rows = states.shape[0]
+    groups = _mixer_groups(num_qubits)
+    cos, sin = np.cos(betas), np.sin(betas)
+    sizes = {size for _, size in groups}
+    matrices = {size: _rx_power(cos, sin, size) for size in sizes}
+    for low, size in groups:
+        matrix = matrices[size]
+        if low == 0:
+            states = np.matmul(states.reshape(rows, -1, 1 << size), matrix)
+        else:
+            states = np.matmul(
+                matrix[:, None], states.reshape(rows, -1, 1 << size, 1 << low)
+            )
+    return states.reshape(rows, -1)
 
 
 def _angle_matrix(angles, levels: Optional[int], name: str) -> np.ndarray:
@@ -462,11 +510,15 @@ def qaoa_statevector_batch(
     ``gammas``/``betas`` are ``(n_angles, p)`` (or ``(n_angles,)`` for
     ``p = 1``): row ``k`` is one full parameter assignment.  All rows
     evolve together — one ``exp(-i * gamma_k * D)`` broadcast against the
-    shared cost diagonal per level, then batched axis-wise RX mixers —
-    so a 32-point angle grid costs one numpy pass instead of 32 circuit
-    evaluations.  Returns a ``(n_angles, 2^n)`` little-endian array whose
-    row ``k`` equals ``qaoa_statevector(problem.to_program(row_k))`` to
-    machine precision.
+    shared cost diagonal per level, then the grouped Kronecker mixer of
+    :func:`_apply_mixer_batch` — so a 32-point angle grid costs one numpy
+    pass instead of 32 circuit evaluations.  Returns a C-contiguous
+    ``(n_angles, 2^n)`` little-endian array whose row ``k`` equals
+    ``qaoa_statevector(problem.to_program(row_k))`` to machine precision
+    (about 1e-15 relative, not bit for bit: the mixer sums ``2^k``
+    products per amplitude where the gate-exact kernel sums two per
+    qubit), and whose rows' bits do not depend on how many rows ran
+    together.
 
     ``problem`` is anything :func:`cost_diagonal` accepts: a
     ``QAOAProgram``, ``MaxCutProblem``, ``IsingProblem``, or any object
@@ -480,32 +532,23 @@ def qaoa_statevector_batch(
             f"gammas has {gamma_rows.shape[0]} rows, betas has "
             f"{beta_rows.shape[0]}"
         )
-    n = diag.num_qubits
     n_angles, levels = gamma_rows.shape
-    dim = 1 << n
-    # Work in (2^n, batch) layout — batch contiguous innermost — and
-    # transpose on return; see _apply_rx_batch for why.
-    states = np.full((dim, n_angles), 1.0 / np.sqrt(dim), dtype=complex)
-    scratch = np.empty_like(states)
+    dim = 1 << diag.num_qubits
+    states = np.full((n_angles, dim), 1.0 / np.sqrt(dim), dtype=complex)
     groups = diag.phase_groups
     for level in range(levels):
         coeff = -1j * gamma_rows[:, level]
         if groups is None:
-            states *= np.exp(np.multiply.outer(diag.phase, coeff))
+            states *= np.exp(np.multiply.outer(coeff, diag.phase))
         else:
-            # Degenerate diagonal: exponentiate one row per distinct
-            # phase value and gather, instead of a dense 2^n exp.
+            # Degenerate diagonal: exponentiate one column per distinct
+            # phase value and gather (in C order, like the stack),
+            # instead of a dense 2^n exp.
             values, inverse = groups
-            states *= np.exp(np.multiply.outer(values, coeff))[inverse]
+            states *= np.take(np.exp(np.multiply.outer(coeff, values)), inverse, axis=1)
         # mixer_angle = 2 * beta, so the RX half-angle is beta itself
-        states, scratch = _apply_rx_batch(
-            states,
-            scratch,
-            np.cos(beta_rows[:, level]),
-            np.sin(beta_rows[:, level]),
-            n,
-        )
-    return states.T
+        states = _apply_mixer_batch(states, beta_rows[:, level], diag.num_qubits)
+    return states
 
 
 def expectation_batch(

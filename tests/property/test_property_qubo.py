@@ -11,7 +11,14 @@ Two exactness claims back the frontend:
   ``evaluate_fast(mode="exact")`` path) to 1e-9.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +35,20 @@ from repro.sim.fastpath import (
 )
 
 ATOL = 1e-9
+
+SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+
+
+def _ring_with_chords(n: int) -> IsingProblem:
+    """A fixed weighted Ising ring on ``n`` spins with chords and fields."""
+    rng = np.random.default_rng(n)
+    pairs = {tuple(sorted((q, (q + 1) % n))) for q in range(n)}
+    pairs |= {tuple(sorted((q, (q + n // 2) % n))) for q in range(0, n, 3)}
+    quadratic = {
+        pair: float(rng.uniform(-2.0, 2.0)) for pair in sorted(pairs) if pair[0] != pair[1]
+    }
+    linear = {q: float(rng.uniform(-1.0, 1.0)) for q in range(0, n, 2)}
+    return IsingProblem(n, quadratic, linear, 0.5)
 
 
 @st.composite
@@ -154,6 +175,73 @@ class TestBatchedAgainstLooped:
             problem, gammas, betas, max_batch_amplitudes=1
         )
         assert np.array_equal(whole, chunked)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_every_mixer_group_count(self, n):
+        """n = 1..16 spans one to four groups of the batched mixer: every
+        row matches the exact single-point kernel, equals its own
+        one-row call bit for bit, and a chunked grid equals the whole."""
+        problem = _ring_with_chords(n)
+        rng = np.random.default_rng(100 + n)
+        for p in (1, 2):
+            gammas = rng.uniform(-np.pi, np.pi, size=(6, p))
+            betas = rng.uniform(-np.pi / 2, np.pi / 2, size=(6, p))
+            batch = qaoa_statevector_batch(problem, gammas, betas)
+            for k in range(6):
+                single = qaoa_statevector(problem.to_program(gammas[k], betas[k]))
+                assert np.max(np.abs(batch[k] - single)) < ATOL
+                alone = qaoa_statevector_batch(
+                    problem, gammas[k : k + 1], betas[k : k + 1]
+                )
+                assert np.array_equal(alone[0], batch[k])
+        gammas = rng.uniform(-np.pi, np.pi, 6)
+        betas = rng.uniform(-np.pi / 2, np.pi / 2, 6)
+        whole = expectation_batch(problem, gammas, betas)
+        chunked = expectation_batch(problem, gammas, betas, max_batch_amplitudes=1)
+        assert np.array_equal(whole, chunked)
+
+    def test_grid_bits_do_not_depend_on_blas_threads(self):
+        """The batched mixer runs through numpy's BLAS: one fixed grid at
+        n = 10 and 14 hashes the same with one BLAS thread and with two."""
+        script = textwrap.dedent(
+            """
+            import hashlib
+            import numpy as np
+            from repro.qaoa.ising import IsingProblem
+            from repro.sim.fastpath import expectation_batch, qaoa_statevector_batch
+            digest = hashlib.sha256()
+            gammas = np.linspace(-np.pi, np.pi, 16).reshape(8, 2)
+            betas = np.linspace(-np.pi / 2, np.pi / 2, 16).reshape(8, 2)
+            for n in (10, 14):
+                rng = np.random.default_rng(n)
+                quadratic = {(q, q + 1): rng.uniform(-2, 2) for q in range(n - 1)}
+                quadratic[(0, n - 1)] = 1.0
+                linear = {q: rng.uniform(-1, 1) for q in range(0, n, 2)}
+                problem = IsingProblem(n, quadratic, linear, 0.0)
+                digest.update(expectation_batch(problem, gammas, betas).tobytes())
+                digest.update(qaoa_statevector_batch(problem, gammas, betas).tobytes())
+            print(digest.hexdigest())
+            """
+        )
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=SRC,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            hashes.append(out.stdout.strip())
+        assert len(hashes[0]) == 64
+        assert hashes[0] == hashes[1]
 
 
 class TestFingerprints:

@@ -175,6 +175,44 @@ class TestValidation:
                     from_document(tampered)
             assert from_document(document).swap_count == compiled.swap_count
 
+    def test_document_field_of_wrong_json_type_is_a_value_error(
+        self, compiled_qaoa
+    ):
+        """A v5 document whose object, array or string field holds a
+        value of another JSON type is refused with a ValueError naming
+        the field and the type it must have, not an AttributeError or
+        TypeError from deeper in the read."""
+        device = ring_device(5)
+        raw = ConventionalBackend(device).compile(
+            QuantumCircuit(5).cphase(0.4, 0, 2), Mapping.trivial(5, 5)
+        )
+        objects = ["initial_mapping", "final_mapping", "coupling"]
+        arrays = [("coupling", "edges")]
+        qaoa_objects = ["program", "encoding_info", ("program", "linear")]
+        qaoa_arrays = [
+            "warnings", "pass_trace", ("program", "edges"), ("program", "levels"),
+        ]
+        for compiled, qaoa in ((compiled_qaoa, True), (raw, False)):
+            cases = [(path, [], "object") for path in objects]
+            cases += [(path, {}, "array") for path in arrays]
+            cases += [("qasm", ["OPENQASM 2.0;"], "string")]
+            if qaoa:
+                cases += [(path, "{}", "object") for path in qaoa_objects]
+                cases += [(path, {"0": 1}, "array") for path in qaoa_arrays]
+                cases += [(("pass_trace", 0), "route", "object")]
+            for path, wrong, kind in cases:
+                path = (path,) if isinstance(path, str) else path
+                name = ".".join(map(str, path)).replace(".0", "[]")
+                tampered = json.loads(to_json(compiled))
+                holder = tampered
+                for key in path[:-1]:
+                    holder = holder[key]
+                holder[path[-1]] = wrong
+                with pytest.raises(
+                    ValueError, match=re.escape(f"{name!r} must be a JSON {kind}")
+                ):
+                    from_document(tampered)
+
     def test_tampered_circuit_fails_validation(self, compiled_qaoa):
         payload = json.loads(to_json(compiled_qaoa))
         # Inject a coupling-violating gate into the QASM.

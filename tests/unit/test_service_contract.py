@@ -99,7 +99,7 @@ class TestGoldenKeys:
             ),
             (
                 _optimize_job,
-                "8f0e2e4c2e8bcf6d507a1c3d5e7066cb3148fab39b45f6bc9cb60378e262447c",
+                "9141c927d6c662bd97f72b8f1716e96927bc4dd9086e36cbfcf61969f066d0a6",
             ),
         ],
         ids=["compile-named", "compile-inline-spec", "eval", "optimize"],
